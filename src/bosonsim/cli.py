@@ -19,7 +19,8 @@ import sys
 import numpy as np
 
 from . import dynamics, models
-from .errors import BosonSimError, ConvergenceError
+from .encodings import FockSpace, occupation_sector
+from .errors import BosonSimError, ConvergenceError, ParameterError
 
 _FLOAT = "{:.17g}"
 
@@ -104,8 +105,10 @@ def _parse_range(text):
     if ".." in text:
         lo, hi = text.split("..")
         lo, hi = float(lo), float(hi)
-        n = int(round(hi - lo)) + 1
-        return [lo + i for i in range(n)]
+        span = hi - lo
+        if not 0 <= span < math.inf or abs(span - round(span)) > 1e-9:
+            raise ParameterError(f"range {text!r} must ascend in whole steps")
+        return [lo + i for i in range(round(span) + 1)]
     if "," in text:
         return [float(v) for v in text.split(",")]
     return [float(text)]
@@ -171,23 +174,14 @@ def cmd_walk(args):
     params = models.BoseHubbardParams(
         n_sites=args.sites, t=args.hop, U=args.U, V=args.V,
         mu=0.0, Nb=2)
-    model = models.build_bose_hubbard(params)
-    H = model.fock
-    dims = model.layout.fock_dims
-    psi0 = np.zeros(H.shape[0], dtype=complex)
-    # two bosons on the central site
+    # two bosons on the central site; b_q b_p reaches the sectors below
+    space = FockSpace(occupation_sector(args.sites, 2, bounded=True))
     occ = [0] * args.sites
     occ[args.sites // 2] = 2
-    idx = 0
-    for d, n in zip(dims, occ):
-        idx = idx * d + n
-    psi0[idx] = 1.0
-    psi = dynamics.evolve_exact(H, psi0, args.t)
-    ann = []
-    for i in range(args.sites):
-        b, _, _ = models.mode_matrices(dims[i] - 1)
-        ann.append(models.embed_fock(b, dims, i))
-    gamma, density = models.walk_observables(psi, ann)
+    psi = dynamics.evolve_exact(models.bose_hubbard_fock(space, params),
+                                space.state(occ), args.t)
+    ann = [space.excitation_matrix((), (i,)) for i in range(args.sites)]
+    gamma, _ = models.walk_observables(psi, ann)
     rows = [(p, q, gamma[p, q]) for p in range(args.sites)
             for q in range(args.sites)]
     emit_csv(args.out, ["p", "q", "Gamma"], rows)

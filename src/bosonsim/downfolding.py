@@ -18,7 +18,9 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import minimize, root
 
+from .encodings import FockSpace, occupation_sector
 from .errors import ConvergenceError, DimensionError, DomainError, ParameterError
+from .models import BoseHubbardParams, bose_hubbard_fock
 
 
 def fci_dims(M: int, N: int) -> int:
@@ -28,63 +30,19 @@ def fci_dims(M: int, N: int) -> int:
     return math.comb(M + N - 1, N)
 
 
-def act_dims(M_act: int, N: int) -> int:
-    """Active-space dimension C(M_act + N − 1, N)."""
-    return fci_dims(M_act, N)
-
-
-class BosonFockSpace:
+class BosonFockSpace(FockSpace):
     """Fixed-N occupation basis for M modes, ordered descending."""
 
     def __init__(self, M: int, N: int):
-        if M < 1 or N < 0:
-            raise ParameterError("need M >= 1 and N >= 0")
+        super().__init__(occupation_sector(M, N))
         self.M = M
         self.N = N
-        self.basis = sorted(self._occupations(M, N), reverse=True)
-        self.index = {occ: i for i, occ in enumerate(self.basis)}
-        self.dim = len(self.basis)
-
-    @staticmethod
-    def _occupations(M, N):
-        if M == 1:
-            return [(N,)]
-        out = []
-        for head in range(N + 1):
-            for tail in BosonFockSpace._occupations(M - 1, N - head):
-                out.append((head,) + tail)
-        return out
-
-    def state(self, occ) -> np.ndarray:
-        v = np.zeros(self.dim)
-        v[self.index[tuple(occ)]] = 1.0
-        return v
 
     def excitation_matrix(self, create, annihilate) -> np.ndarray:
         """Matrix of ∏ b†_{create} ∏ b_{annihilate} on the fixed-N space."""
         if len(create) != len(annihilate):
             raise ParameterError("operator must conserve particle number")
-        out = np.zeros((self.dim, self.dim))
-        for col, occ in enumerate(self.basis):
-            ns = list(occ)
-            amp = 1.0
-            ok = True
-            for m in annihilate:
-                if ns[m] == 0:
-                    ok = False
-                    break
-                amp *= math.sqrt(ns[m])
-                ns[m] -= 1
-            if not ok:
-                continue
-            for m in create:
-                amp *= math.sqrt(ns[m] + 1)
-                ns[m] += 1
-            out[self.index[tuple(ns)], col] += amp
-        return out
-
-    def number_matrix(self, mode: int) -> np.ndarray:
-        return np.diag([float(occ[mode]) for occ in self.basis])
+        return super().excitation_matrix(create, annihilate)
 
     def reference(self) -> np.ndarray:
         """(b†_0)^N |vac⟩ / √(N!): all particles in mode 0."""
@@ -94,17 +52,7 @@ class BosonFockSpace:
 
 def bose_hubbard_fixed_n(space: BosonFockSpace, t, U, V, mu) -> np.ndarray:
     """Bose-Hubbard matrix on the fixed-N space (all pairs j > i)."""
-    mus = [float(mu)] * space.M if np.isscalar(mu) else [float(x) for x in mu]
-    if len(mus) != space.M:
-        raise ParameterError("per-site mu must have one entry per mode")
-    H = np.zeros((space.dim, space.dim))
-    ns = [space.number_matrix(i) for i in range(space.M)]
-    for i in range(space.M):
-        H += -mus[i] * ns[i] + 0.5 * U * (ns[i] @ ns[i] - ns[i])
-        for j in range(i + 1, space.M):
-            hop = space.excitation_matrix((i,), (j,))
-            H += -t * (hop + hop.T) + V * ns[i] @ ns[j]
-    return H
+    return bose_hubbard_fock(space, BoseHubbardParams(space.M, t=t, U=U, V=V, mu=mu))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 import io
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,11 +23,12 @@ from .pauli import PauliTerm
 # ---------------------------------------------------------------------------
 
 
-def _check_hermitian(H: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def require_hermitian(H: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """H as a complex square array, Hermitian to tol·max(1, max|H_ij|)."""
     H = np.asarray(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise DimensionError("H must be square")
-    if np.max(np.abs(H - H.conj().T)) > tol * max(1.0, np.linalg.norm(H, 2)):
+    if np.max(np.abs(H - H.conj().T)) > tol * max(1.0, float(np.max(np.abs(H)))):
         raise DomainError("H is not Hermitian within tolerance")
     return H
 
@@ -40,7 +41,7 @@ def expm_hermitian(H: np.ndarray, scale: complex = -1.0j) -> np.ndarray:
 
 def evolve_exact(H: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
     """ψ(t) = e^{−iHt} ψ0 by eigendecomposition."""
-    H = _check_hermitian(H)
+    H = require_hermitian(H)
     psi0 = np.asarray(psi0, dtype=complex)
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-8:
         raise ParameterError("psi0 must be normalized")

@@ -8,17 +8,21 @@ Two boson mappings are provided:
   (``ceil(log2(Nb + 1))`` qubits).
 
 Fermions use the Jordan-Wigner transformation with Z parity prefixes.
+:class:`FockSpace` is the qubit-free reference: occupation bases (tensor,
+fixed-N, bounded-N) whose ladder operators follow occupation rules.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import product
 
 import numpy as np
 
 from .errors import DimensionError, DomainError, ParameterError
-from .pauli import PauliSum, ladder, outer_1q, projector
+from .pauli import PauliSum, ladder, outer_1q
 
 
 def boson_ops_unary(Nb: int) -> dict[str, PauliSum]:
@@ -183,22 +187,20 @@ class RegisterLayout:
             for r in self.registers
         ]
 
+    def fock_space(self) -> "FockSpace":
+        """Tensor Fock basis of the registers, fermion registers marked."""
+        fermions = [k for k, r in enumerate(self.registers) if r.kind == "fermion"]
+        return FockSpace.tensor(self.fock_dims, fermions)
+
     def isometry(self) -> np.ndarray:
         """Map Fock tensor basis into the qubit space (columns orthonormal).
 
         Column index runs over the tensor product of per-register Fock
         dimensions (first register slowest); rows over the 2^n qubit basis.
         """
-        nq = self.total_qubits
-        dims = self.fock_dims
-        d_fock = int(np.prod(dims))
-        V = np.zeros((2**nq, d_fock), dtype=complex)
-        for col in range(d_fock):
-            rem, occs = col, []
-            for d in reversed(dims):
-                occs.append(rem % d)
-                rem //= d
-            occs.reverse()
+        space = self.fock_space()
+        V = np.zeros((2**self.total_qubits, space.dim), dtype=complex)
+        for col, occs in enumerate(space.basis):
             row = 0
             for reg, occ in zip(self.registers, occs):
                 row = (row << reg.width) | reg.basis_index(occ)
@@ -217,6 +219,96 @@ def embed(local_op: PauliSum, layout: RegisterLayout, register_id: int) -> Pauli
     left = PauliSum.identity(reg.offset)
     right = PauliSum.identity(layout.total_qubits - reg.offset - reg.width)
     return left.tensor(local_op).tensor(right)
+
+
+# ---------------------------------------------------------------------------
+# Fock bases with occupation-rule ladder operators
+# ---------------------------------------------------------------------------
+
+
+def occupation_sector(M: int, N: int, bounded: bool = False) -> list[tuple[int, ...]]:
+    """Occupations of M modes holding N bosons (at most N if bounded), descending."""
+    if M < 1 or N < 0:
+        raise ParameterError("need M >= 1 and N >= 0")
+    if bounded:  # a slack mode takes up the difference to N
+        return [occ[:-1] for occ in _sector(M + 1, N)]
+    return _sector(M, N)
+
+
+def _sector(M: int, N: int) -> list[tuple[int, ...]]:
+    if M == 1:
+        return [(N,)]
+    return [(head,) + tail for head in range(N, -1, -1) for tail in _sector(M - 1, N - head)]
+
+
+class FockSpace:
+    """Occupation basis with ladder operators built from occupation rules.
+
+    ``basis`` lists one occupation tuple per state and ``index`` maps each
+    tuple to its position.  Every operator comes from
+    :meth:`excitation_matrix`: √n factors, a Jordan-Wigner sign on the
+    modes listed in ``fermions``, and images outside the basis dropped, so
+    a truncated basis yields truncated ladders.
+    """
+
+    def __init__(self, basis, fermions=()):
+        self.basis = [tuple(occ) for occ in basis]
+        self.index = {occ: i for i, occ in enumerate(self.basis)}
+        self.dim = len(self.basis)
+        self.fermions = tuple(sorted(fermions))
+
+    @staticmethod
+    def tensor(dims, fermions=()) -> "FockSpace":
+        """Tensor product of per-mode dimensions, first mode slowest."""
+        return FockSpace(product(*(range(d) for d in dims)), fermions)
+
+    @cached_property
+    def occupations(self) -> np.ndarray:
+        """(dim, modes) integer array of the basis occupations."""
+        return np.array(self.basis, dtype=int).reshape(self.dim, -1)
+
+    def state(self, occ) -> np.ndarray:
+        v = np.zeros(self.dim)
+        v[self.index[tuple(occ)]] = 1.0
+        return v
+
+    def number_matrix(self, mode: int) -> np.ndarray:
+        return np.diag(self.occupations[:, mode].astype(float))
+
+    def excitation_matrix(self, create, annihilate) -> np.ndarray:
+        """Matrix of ∏ a†_{create} ∏ a_{annihilate}; the rightmost factor acts first."""
+        out = np.zeros((self.dim, self.dim))
+        index, fermions = self.index, self.fermions
+        for col, occ in enumerate(self.basis):
+            ns = list(occ)
+            amp = 1.0
+            for m in annihilate:
+                if ns[m] == 0:
+                    break
+                amp *= math.sqrt(ns[m])
+                ns[m] -= 1
+            else:
+                for m in create:
+                    amp *= math.sqrt(ns[m] + 1)
+                    ns[m] += 1
+                try:
+                    row = index[tuple(ns)]
+                except KeyError:  # the image leaves the basis
+                    continue
+                if fermions:
+                    amp *= self._jw_sign(occ, create, annihilate)
+                out[row, col] += amp
+        return out
+
+    def _jw_sign(self, occ, create, annihilate) -> int:
+        """(−1) per fermion factor per occupied fermion mode before it."""
+        ns = list(occ)
+        flips = 0
+        for m, step in reversed([(m, 1) for m in create] + [(m, -1) for m in annihilate]):
+            if m in self.fermions:
+                flips += sum(ns[f] for f in self.fermions if f < m)
+            ns[m] += step
+        return -1 if flips % 2 else 1
 
 
 # ---------------------------------------------------------------------------

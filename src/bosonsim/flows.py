@@ -14,20 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import require_hermitian
 from .errors import ConvergenceError, DomainError, ParameterError
-
-
-def _require_hermitian(H: np.ndarray) -> np.ndarray:
-    H = np.asarray(H, dtype=complex)
-    scale = max(1.0, float(np.max(np.abs(H))))
-    if np.max(np.abs(H - H.conj().T)) > 1e-10 * scale:
-        raise DomainError("matrix is not Hermitian")
-    return H
 
 
 def wegner_generator(H: np.ndarray) -> np.ndarray:
     """G = [diag(H), H]: G_ij = h_ij (d_i − d_j), anti-Hermitian, zero diagonal."""
-    H = _require_hermitian(H)
+    H = require_hermitian(H)
     d = np.real(np.diag(H))
     return H * (d[:, None] - d[None, :])
 
@@ -54,7 +47,7 @@ def wegner_flow(H0: np.ndarray, ds: float | None = None, s_max: float = 50.0,
     stalled flow (degenerate diagonal with surviving coupling) raises
     ConvergenceError carrying the trajectory for inspection.
     """
-    H = _require_hermitian(H0)
+    H = require_hermitian(H0)
     norm0 = float(np.linalg.norm(H))
     if ds is None:
         ds = 0.01 / max(norm0 ** 2, 1e-12)

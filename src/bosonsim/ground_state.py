@@ -6,18 +6,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import require_hermitian
 from .encodings import RegisterLayout
 from .errors import DomainError, ParameterError
-from .pauli import PauliSum
 
 
 def exact_diagonalize(H: np.ndarray):
     """Eigenvalues ascending and eigenvectors (columns) of a Hermitian matrix."""
-    H = np.asarray(H, dtype=complex)
-    scale = max(1.0, np.linalg.norm(H, 2))
-    if np.max(np.abs(H - H.conj().T)) > 1e-10 * scale:
-        raise DomainError("H is not Hermitian")
-    return np.linalg.eigh(H)
+    return np.linalg.eigh(require_hermitian(H))
 
 
 def moments(H: np.ndarray, phi: np.ndarray, max_power: int) -> np.ndarray:

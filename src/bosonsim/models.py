@@ -1,8 +1,9 @@
 """Model Hamiltonian builders: Bose-Hubbard, spin-boson, and Holstein.
 
 Each builder produces an :class:`EncodedHamiltonian` carrying the
-Pauli-compiled operator, its register layout, and an independent
-Fock-space matrix assembled directly from occupation-number rules.  The
+Pauli-compiled operator and its register layout.  Its ``fock`` matrix is
+an independent oracle assembled from occupation-number rules on the
+layout's :class:`~bosonsim.encodings.FockSpace`, built on first use.  The
 two forms must agree under the layout's basis identification — that
 equivalence is the module's master invariant and is exercised by the
 test suite at every dense-testable size.
@@ -11,19 +12,22 @@ test suite at every dense-testable size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .encodings import (
+    FockSpace,
     RegisterLayout,
     boson_ops_binary,
     boson_ops_unary,
     embed,
     fermion_ops_jw,
 )
-from .errors import ConditionViolation, DimensionError, ParameterError
+from .errors import ConditionViolation, ParameterError
 from .pauli import PauliSum
+from .trunc_bounds import verify_conditions
 
 # ---------------------------------------------------------------------------
 # Parameter records
@@ -87,9 +91,15 @@ class HolsteinParams:
 class EncodedHamiltonian:
     pauli: PauliSum
     layout: RegisterLayout
-    fock: np.ndarray
     kind: str
     params: object = None
+
+    @cached_property
+    def fock(self) -> np.ndarray:
+        """The Fock-space oracle on the layout's tensor basis, built on first use."""
+        build = {"bose_hubbard": bose_hubbard_fock, "spin_boson": spin_boson_fock,
+                 "holstein": holstein_fock}[self.kind]
+        return build(self.layout.fock_space(), self.params).astype(complex)
 
     @property
     def fock_dims(self) -> tuple[int, ...]:
@@ -124,31 +134,46 @@ def embed_fock(op: np.ndarray, dims, index: int) -> np.ndarray:
     return out
 
 
-def fermion_fock_ops(n_sites: int) -> list[np.ndarray]:
-    """Creation matrices on the 2^n fermionic Fock space (site 0 = MSB).
-
-    Signs follow the occupation-ordering convention (−1)^{Σ_{j<i} n_j},
-    the same ordering realized by the Jordan-Wigner Z strings.
-    """
-    dim = 2**n_sites
-    ops = []
-    for site in range(n_sites):
-        m = np.zeros((dim, dim))
-        bit = 1 << (n_sites - 1 - site)
-        for col in range(dim):
-            if col & bit:
-                continue
-            parity = bin(col >> (n_sites - site)).count("1")
-            m[col | bit, col] = (-1.0) ** parity
-        ops.append(m)
-    return ops
+def bose_hubbard_fock(space: FockSpace, p: BoseHubbardParams) -> np.ndarray:
+    """Bose-Hubbard matrix (see :func:`build_bose_hubbard`) on any occupation basis."""
+    mus = p.mu_list()
+    n = space.occupations.astype(float)
+    diag = np.zeros(space.dim)
+    H = np.zeros((space.dim, space.dim))
+    for i in range(p.n_sites):
+        diag += -mus[i] * n[:, i] + 0.5 * p.U * (n[:, i] * n[:, i] - n[:, i])
+        for j in range(i + 1, p.n_sites):
+            diag += p.V * n[:, i] * n[:, j]
+            if p.t:
+                hop = space.excitation_matrix((i,), (j,))
+                H += -p.t * (hop + hop.T)
+    return H + np.diag(diag)
 
 
-def boson_site_ops(dims) -> list[np.ndarray]:
-    """Embedded annihilation matrices for each mode of a tensor Fock space."""
-    return [
-        embed_fock(mode_matrices(d - 1)[0], dims, i) for i, d in enumerate(dims)
-    ]
+def spin_boson_fock(space: FockSpace, p: SpinBosonParams) -> np.ndarray:
+    """Spin-boson matrix (see :func:`build_spin_boson`); mode 0 is the spin."""
+    X = space.excitation_matrix((0,), ()) + space.excitation_matrix((), (0,))
+    H = p.delta * X + 0.5 * p.epsilon * np.diag(1.0 - 2.0 * space.occupations[:, 0])
+    for m, (w, g) in enumerate(zip(p.omegas, p.couplings), start=1):
+        H += w * space.number_matrix(m)
+        # X (b_m + b†_m), one ladder word per pair of spin and mode steps
+        H += 0.5 * g * w * sum(space.excitation_matrix(c, a) for c, a in (
+            ((0, m), ()), ((0,), (m,)), ((m,), (0,)), ((), (0, m))))
+    return H
+
+
+def holstein_fock(space: FockSpace, p: HolsteinParams) -> np.ndarray:
+    """Holstein matrix (see :func:`build_holstein`); fermion modes come first."""
+    H = np.zeros((space.dim, space.dim))
+    for i, j in holstein_pairs(p):
+        hop = space.excitation_matrix((i,), (j,))
+        H += -p.v * (hop + hop.T)
+    for i in range(p.n_sites):
+        b = p.n_sites + i
+        H += p.omega * space.number_matrix(b)
+        H += p.g * p.omega * (space.excitation_matrix((i, b), (i,))
+                              + space.excitation_matrix((i,), (i, b)))
+    return H
 
 
 # ---------------------------------------------------------------------------
@@ -192,19 +217,7 @@ def build_bose_hubbard(p: BoseHubbardParams, encoding: str = "binary") -> Encode
                 H = H + (-p.t) * (create[i] * annih[j] + create[j] * annih[i])
             if p.V:
                 H = H + p.V * (number[i] * number[j])
-    H = H.simplify()
-
-    dims = layout.fock_dims
-    Hf = np.zeros((int(np.prod(dims)), int(np.prod(dims))), dtype=complex)
-    bs = boson_site_ops(dims)
-    for i in range(p.n_sites):
-        n_i = bs[i].conj().T @ bs[i]
-        Hf += -mus[i] * n_i + 0.5 * p.U * (n_i @ n_i - n_i)
-        for j in range(i + 1, p.n_sites):
-            n_j = bs[j].conj().T @ bs[j]
-            Hf += -p.t * (bs[i].conj().T @ bs[j] + bs[j].conj().T @ bs[i])
-            Hf += p.V * (n_i @ n_j)
-    return EncodedHamiltonian(H, layout, Hf, "bose_hubbard", p)
+    return EncodedHamiltonian(H.simplify(), layout, "bose_hubbard", p)
 
 
 def build_spin_boson(p: SpinBosonParams, encoding: str = "binary") -> EncodedHamiltonian:
@@ -216,7 +229,6 @@ def build_spin_boson(p: SpinBosonParams, encoding: str = "binary") -> EncodedHam
         {"kind": "boson", "encoding": encoding, "cutoff": c} for c in p.cutoffs
     ]
     layout = RegisterLayout.build(specs)
-    nq = layout.total_qubits
     X = embed(PauliSum.from_term("X"), layout, 0)
     Z = embed(PauliSum.from_term("Z"), layout, 0)
     H = p.delta * X + (0.5 * p.epsilon) * Z
@@ -225,18 +237,7 @@ def build_spin_boson(p: SpinBosonParams, encoding: str = "binary") -> EncodedHam
         nm = embed(local["number"], layout, m + 1)
         xm = embed(local["creation"] + local["annihilation"], layout, m + 1)
         H = H + w * nm + (0.5 * g * w) * (X * xm)
-    H = H.simplify()
-
-    dims = layout.fock_dims
-    D = int(np.prod(dims))
-    Xf = embed_fock(np.array([[0, 1], [1, 0]], dtype=complex), dims, 0)
-    Zf = embed_fock(np.diag([1.0, -1.0]).astype(complex), dims, 0)
-    Hf = p.delta * Xf + 0.5 * p.epsilon * Zf
-    for m, (w, g) in enumerate(zip(p.omegas, p.couplings)):
-        bm, bdm, nm = mode_matrices(dims[m + 1] - 1)
-        Hf += w * embed_fock(nm, dims, m + 1)
-        Hf += 0.5 * g * w * Xf @ embed_fock(bm + bdm, dims, m + 1)
-    return EncodedHamiltonian(H, layout, Hf, "spin_boson", p)
+    return EncodedHamiltonian(H.simplify(), layout, "spin_boson", p)
 
 
 def holstein_pairs(p: HolsteinParams) -> list[tuple[int, int]]:
@@ -271,29 +272,7 @@ def build_holstein(p: HolsteinParams, encoding: str = "binary") -> EncodedHamilt
         nb = embed(local["number"], layout, p.n_sites + i)
         xb = embed(local["creation"] + local["annihilation"], layout, p.n_sites + i)
         H = H + p.omega * nb + (p.g * p.omega) * (fc[i] * fa[i] * xb)
-    H = H.simplify()
-
-    dims = layout.fock_dims
-    D = int(np.prod(dims))
-    fermi_dim = 2**p.n_sites
-    boson_dims = dims[p.n_sites:]
-    fops = fermion_fock_ops(p.n_sites)
-    boson_space = int(np.prod(boson_dims))
-    Hf = np.zeros((D, D), dtype=complex)
-
-    def lift_f(m):
-        return np.kron(m, np.eye(boson_space))
-
-    def lift_b(m, i):
-        return np.kron(np.eye(fermi_dim), embed_fock(m, boson_dims, i))
-
-    for i, j in pairs:
-        Hf += -p.v * lift_f(fops[i] @ fops[j].conj().T + fops[j] @ fops[i].conj().T)
-    for i in range(p.n_sites):
-        b, bd, n = mode_matrices(boson_dims[i] - 1)
-        Hf += p.omega * lift_b(n, i)
-        Hf += p.g * p.omega * lift_f(fops[i] @ fops[i].conj().T) @ lift_b(b + bd, i)
-    return EncodedHamiltonian(H, layout, Hf, "holstein", p)
+    return EncodedHamiltonian(H.simplify(), layout, "holstein", p)
 
 
 # ---------------------------------------------------------------------------
@@ -308,14 +287,7 @@ def mode_occupations(model: EncodedHamiltonian, mode_index: int) -> np.ndarray:
         raise ParameterError("model has no boson register")
     if not 0 <= mode_index < len(bosons):
         raise ParameterError(f"mode_index {mode_index} out of range")
-    reg_idx = bosons[mode_index]
-    dims = model.fock_dims
-    D = int(np.prod(dims))
-    occ = np.zeros(D, dtype=int)
-    stride = int(np.prod(dims[reg_idx + 1:])) if reg_idx + 1 < len(dims) else 1
-    for idx in range(D):
-        occ[idx] = (idx // stride) % dims[reg_idx]
-    return occ
+    return model.layout.fock_space().occupations[:, bosons[mode_index]]
 
 
 def hw_hr_split(model: EncodedHamiltonian, mode_index: int = 0):
@@ -345,11 +317,7 @@ def hw_hr_split(model: EncodedHamiltonian, mode_index: int = 0):
     elif model.kind == "spin_boson":
         chi = abs(p.couplings[mode_index] * p.omegas[mode_index])
     else:
-        chi = 0.0
-        for lam in range(int(occ.max())):
-            mask = occ <= lam
-            norm = np.linalg.norm(Hw[:, mask], 2)
-            chi = max(chi, norm / math.sqrt(lam + 1))
+        chi = verify_conditions(Hw, Hr, occ, int(occ.max()) - 1)["fitted_chi"]
     return Hw, Hr, chi, 0.5
 
 

@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from bosonsim.cli import _parse_range, run
+from bosonsim.dynamics import evolve_exact
+from bosonsim.models import (BoseHubbardParams, build_bose_hubbard, embed_fock,
+                             mode_matrices, walk_observables)
 
 
 SB_MODEL = {
@@ -37,6 +40,12 @@ def test_parse_range_forms():
     assert _parse_range("1..4") == [1.0, 2.0, 3.0, 4.0]
     assert _parse_range("0,0.5,2") == [0.0, 0.5, 2.0]
     assert _parse_range("0.7") == [0.7]
+
+
+@pytest.mark.parametrize("bad", ["0.5..2", "5..1"])
+def test_trunc_rejects_overshooting_or_descending_range(bad, capsys):
+    assert run(["trunc", "--t", bad]) == 2
+    assert "whole steps" in capsys.readouterr().err
 
 
 def test_all_selftests_pass():
@@ -108,17 +117,44 @@ def test_evolve_report_improves_with_steps(sb_path, tmp_path):
     assert errs[8] / errs[64] == pytest.approx(64.0, rel=0.3)
 
 
-def test_walk_output_is_symmetric_and_sums_to_pair_count(tmp_path):
-    out = tmp_path / "walk.csv"
-    assert run(["walk", "--sites", "5", "--t", "0.7", "--out", str(out)]) == 0
-    lines = out.read_text().strip().splitlines()
+def _walk_gamma(path, sites):
+    lines = path.read_text().strip().splitlines()
     assert lines[0] == "p,q,Gamma"
-    gamma = np.zeros((5, 5))
+    gamma = np.zeros((sites, sites))
     for line in lines[1:]:
         p, q, g = line.split(",")
         gamma[int(p), int(q)] = float(g)
+    return gamma
+
+
+def test_walk_output_is_symmetric_and_sums_to_pair_count(tmp_path):
+    out = tmp_path / "walk.csv"
+    assert run(["walk", "--sites", "5", "--t", "0.7", "--out", str(out)]) == 0
+    gamma = _walk_gamma(out, 5)
     assert np.allclose(gamma, gamma.T, atol=1e-12)
     assert gamma.sum() == pytest.approx(2.0, abs=1e-10)  # <N(N-1)> for N=2
+
+
+@pytest.mark.parametrize("sites", [3, 4, 5])
+def test_walk_matches_the_dense_tensor_space_path(sites, tmp_path):
+    out = tmp_path / "walk.csv"
+    assert run(["walk", "--sites", str(sites), "--U", "1.3", "--t", "0.7",
+                "--out", str(out)]) == 0
+    m = build_bose_hubbard(BoseHubbardParams(n_sites=sites, t=1.0, U=1.3, Nb=2))
+    dims = m.layout.fock_dims
+    occ = [0] * sites
+    occ[sites // 2] = 2
+    psi0 = np.zeros(m.fock.shape[0], dtype=complex)
+    psi0[np.ravel_multi_index(occ, dims)] = 1.0
+    ann = [embed_fock(mode_matrices(d - 1)[0], dims, i) for i, d in enumerate(dims)]
+    gamma, _ = walk_observables(evolve_exact(m.fock, psi0, 0.7), ann)
+    assert np.max(np.abs(_walk_gamma(out, sites) - gamma)) < 1e-12
+
+
+def test_walk_at_seven_sites(tmp_path):
+    out = tmp_path / "walk.csv"
+    assert run(["walk", "--sites", "7", "--out", str(out)]) == 0
+    assert _walk_gamma(out, 7).sum() == pytest.approx(2.0, abs=1e-10)
 
 
 def test_lindblad_series_trace_preserving(tmp_path):

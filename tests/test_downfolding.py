@@ -8,7 +8,6 @@ from bosonsim.downfolding import (
     AnsatzParams,
     BosonFockSpace,
     Excitation,
-    act_dims,
     apply_ansatz,
     bose_hubbard_fixed_n,
     build_heff,
@@ -34,7 +33,7 @@ H_BENCH = bose_hubbard_fixed_n(SP, t=1.0, U=0.5, V=1.0, mu=(-1.0, 0.0, 1.0))
 def test_dimension_formulas():
     assert fci_dims(3, 2) == 6
     assert fci_dims(10, 10) == math.comb(19, 10)
-    assert act_dims(2, 2) == 3
+    assert fci_dims(2, 2) == 3
     # big-integer path
     assert fci_dims(200, 200) == math.comb(399, 200)
 
@@ -79,7 +78,7 @@ def test_heff_eigenvalue_identity_at_exact_amplitudes():
     vals = np.linalg.eigvals(eff.matrix)
     w = np.linalg.eigvalsh(H_REF)
     assert np.min(np.abs(vals - w[0])) < 1e-8
-    assert eff.matrix.shape == (act_dims(2, 2), act_dims(2, 2))
+    assert eff.matrix.shape == (fci_dims(2, 2), fci_dims(2, 2))
 
 
 def test_mmcc_exact_at_true_wavefunction():

@@ -13,7 +13,9 @@ from bosonsim.dynamics import (
     trotter_evolve,
     trotter_steps_for,
 )
-from bosonsim.errors import ParameterError
+from bosonsim.errors import DomainError, ParameterError
+from bosonsim.flows import wegner_flow
+from bosonsim.ground_state import exact_diagonalize
 from bosonsim.pauli import PauliTerm
 
 
@@ -30,6 +32,16 @@ def test_exact_evolution_is_unitary_and_matches_expm():
     psi = evolve_exact(H, psi0, 0.83)
     assert np.linalg.norm(psi) == pytest.approx(1.0)
     assert np.allclose(psi, expm(-1j * 0.83 * H) @ psi0, atol=1e-12)
+
+
+def test_hermiticity_tolerance_scales_with_the_largest_entry():
+    H = np.ones((10, 10))
+    H[0, 1] += 5e-10
+    psi0 = np.eye(10)[0]
+    for entry in (lambda: evolve_exact(H, psi0, 1.0), lambda: exact_diagonalize(H),
+                  lambda: wegner_flow(H)):
+        with pytest.raises(DomainError):
+            entry()
 
 
 def test_first_order_error_within_commutator_bound():

@@ -1,15 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 
 from bosonsim.encodings import (
+    FockSpace,
     RegisterLayout,
     boson_ops_binary,
     boson_ops_unary,
     embed,
     fermion_ops_jw,
     normal_modes,
+    occupation_sector,
 )
 from bosonsim.errors import DimensionError, ParameterError
+from bosonsim.models import embed_fock, mode_matrices
 from bosonsim.pauli import PauliSum
 
 
@@ -156,3 +161,39 @@ def test_normal_modes_rejects_bad_inputs():
         normal_modes(np.eye(2), [1.0, -1.0])
     with pytest.raises(DimensionError):
         normal_modes(np.eye(2), [1.0])
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (4, 2, 3), (3, 1, 2, 2)])
+def test_tensor_fock_ladders_match_kronecker_reference(dims):
+    space = FockSpace.tensor(dims)
+    for k, d in enumerate(dims):
+        b, _, n = mode_matrices(d - 1)
+        assert np.array_equal(space.excitation_matrix((), (k,)), embed_fock(b, dims, k))
+        assert np.array_equal(space.number_matrix(k), embed_fock(n, dims, k))
+
+
+@pytest.mark.parametrize("create,annihilate", [
+    ((0,), (2,)), ((2,), (0,)), ((1,), (3,)), ((3,), (1,)), ((0,), (1,)), ((0, 2), (3, 1)),
+])
+def test_fermion_excitations_match_jordan_wigner(create, annihilate):
+    n = 4
+    layout = RegisterLayout.build([{"kind": "fermion"}] * n)
+    V = layout.isometry()
+    P = PauliSum.identity(n)
+    for i in create:
+        P = P * fermion_ops_jw(i, n)["creation"]
+    for j in annihilate:
+        P = P * fermion_ops_jw(j, n)["annihilation"]
+    E = layout.fock_space().excitation_matrix(create, annihilate)
+    assert np.any(E)
+    assert np.max(np.abs(V.conj().T @ P.to_matrix() @ V - E)) < 1e-12
+
+
+def test_occupation_sectors():
+    assert occupation_sector(3, 2) == sorted(occupation_sector(3, 2), reverse=True)
+    assert len(occupation_sector(3, 2)) == 6
+    bounded = occupation_sector(7, 2, bounded=True)
+    assert len(set(bounded)) == len(bounded) == math.comb(7 + 2, 2)
+    assert {sum(occ) for occ in bounded} == {0, 1, 2}
+    with pytest.raises(ParameterError):
+        occupation_sector(0, 2)

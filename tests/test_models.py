@@ -19,6 +19,7 @@ from bosonsim.models import (
     mode_occupations,
     walk_observables,
 )
+from bosonsim.trunc_bounds import verify_conditions
 
 
 def coeffs(pauli_sum):
@@ -148,6 +149,31 @@ def test_hw_hr_split_spin_boson():
     Hw, Hr, chi, r = hw_hr_split(m, mode_index=0)
     assert np.allclose(Hw + Hr, m.fock, atol=1e-12)
     assert chi == pytest.approx(0.3)  # gω
+
+
+def test_hw_hr_split_bose_hubbard_fits_chi():
+    p = BoseHubbardParams(n_sites=2, t=0.8, U=0.5, V=0.3, mu=0.2, Nb=3)
+    m = build_bose_hubbard(p)
+    Hw, Hr, chi, _ = hw_hr_split(m, mode_index=1)
+    occ = mode_occupations(m, 1)
+    assert chi > 0
+    assert chi == verify_conditions(Hw, Hr, occ, occ.max() - 1)["fitted_chi"]
+    for lam in range(occ.max() + 1):
+        cols = occ <= lam
+        assert np.linalg.norm(Hw[:, cols], 2) <= chi * math.sqrt(lam + 1) + 1e-12
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_bose_hubbard(BoseHubbardParams(n_sites=2, t=0.5, U=1.0, Nb=3)),
+    lambda: build_spin_boson(SpinBosonParams(delta=1.0, epsilon=0.5, omegas=(1.0,),
+                                             couplings=(0.2,), cutoffs=(3,))),
+    lambda: build_holstein(HolsteinParams(n_sites=2, g=0.3)),
+])
+def test_fock_oracle_is_built_on_first_use(build):
+    m = build()
+    assert "fock" not in m.__dict__
+    F = m.fock
+    assert m.__dict__["fock"] is F and F.dtype == complex
 
 
 def test_walk_observables_symmetry_and_number():
