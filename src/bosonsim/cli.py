@@ -1,10 +1,10 @@
 """Command-line surface: deterministic data emission for every module.
 
-Exit codes: 0 success, 2 validation/usage error, 3 convergence failure,
-4 I/O error.  CSV output follows RFC 4180 with a header row; floats are
-printed with 17 significant digits so they round-trip exactly.  JSON
-output uses sorted keys.  Every subcommand accepts ``--selftest`` to run
-its module's invariant checks.
+Exit codes: 0 success, 1 a --selftest check failed, 2 validation/usage
+error, 3 convergence failure, 4 I/O error.  CSV output follows RFC 4180
+with a header row; floats are printed with 17 significant digits so they
+round-trip exactly.  JSON output uses sorted keys.  Every subcommand
+accepts ``--selftest`` to run its module's invariant checks.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import numpy as np
 from . import dynamics, models
 from .encodings import FockSpace, occupation_sector
 from .errors import BosonSimError, ConvergenceError, ParameterError
+from .pauli import PauliTerm
 
 _FLOAT = "{:.17g}"
 
@@ -80,13 +81,15 @@ def _load_model(path):
                 f"malformed JSON at line {exc.lineno}, column {exc.colno}: "
                 f"{exc.msg}"
             ) from exc
+    if not isinstance(cfg, dict):
+        raise BosonSimError("model spec must be a JSON object")
     known = {
         "bose_hubbard": (models.BoseHubbardParams, models.build_bose_hubbard),
         "spin_boson": (models.SpinBosonParams, models.build_spin_boson),
         "holstein": (models.HolsteinParams, models.build_holstein),
     }
     kind = cfg.pop("model", None)
-    if kind not in known:
+    if not isinstance(kind, str) or kind not in known:
         raise BosonSimError(f"unknown model {kind!r}; expected one of "
                             f"{sorted(known)}")
     cls, builder = known[kind]
@@ -97,7 +100,10 @@ def _load_model(path):
     for key, val in cfg.items():
         if isinstance(val, list):
             cfg[key] = tuple(val)
-    return builder(cls(**cfg))
+    try:
+        return builder(cls(**cfg))
+    except (KeyError, TypeError) as exc:
+        raise BosonSimError(f"invalid {kind} model spec: {exc}") from exc
 
 
 def _parse_range(text):
@@ -123,9 +129,9 @@ def cmd_compile(args):
     if args.selftest:
         return _selftest("pauli", "encodings", "models")
     model = _load_model(args.model)
+    gl = _first_order_circuit(model, args.dt) if args.circuits else None
     _write(args.out, model.pauli.to_text())
-    if args.circuits:
-        gl = _first_order_circuit(model, args.dt)
+    if gl is not None:
         _write(args.circuits, gl.to_qasm())
     return 0
 
@@ -133,11 +139,10 @@ def cmd_compile(args):
 def _first_order_circuit(model, dt):
     glists = []
     n = model.layout.total_qubits
-    for term in model.pauli.terms:
-        c = term.coefficient.real
+    for term in dynamics.require_hermitian_terms(model.pauli.terms):
+        c = term.coefficient
         if set(term.letters) == {"I"}:
             continue
-        from .pauli import PauliTerm
         unit = PauliTerm(term.letters, 1.0)
         glists.append(dynamics.synthesize_pauli_exponential(unit, 2.0 * c * dt))
     gates = [g for gl in glists for g in gl.gates]
@@ -149,14 +154,12 @@ def cmd_evolve(args):
     if args.selftest:
         return _selftest("dynamics")
     model = _load_model(args.model)
+    terms = dynamics.require_hermitian_terms(model.pauli.terms)
     H = model.pauli_matrix()
     dim = H.shape[0]
     psi0 = np.zeros(dim, dtype=complex)
     psi0[args.initial_basis_state] = 1.0
     exact = dynamics.evolve_exact(H, psi0, args.t)
-    from .pauli import PauliTerm
-    terms = [t.coefficient.real * PauliTerm(t.letters, 1.0).to_matrix()
-             for t in model.pauli.terms]
     approx = dynamics.trotter_evolve(terms, psi0, args.t, args.steps, args.order)
     emit_json(args.out, {
         "t": args.t,
@@ -364,7 +367,7 @@ def _selftest(*module_names):
 
 
 def _st_pauli():
-    from .pauli import PauliSum, PauliTerm, mul
+    from .pauli import PauliSum, mul
     a = PauliTerm("XY", 1.0)
     b = PauliTerm("YX", 1.0)
     assert mul(a, b).letters == "ZZ"
@@ -391,7 +394,6 @@ def _st_models():
 
 
 def _st_dynamics():
-    from .pauli import PauliTerm
     term = PauliTerm("XY", 1.0)
     gl = dynamics.synthesize_pauli_exponential(term, 0.37)
     target = dynamics.expm_hermitian(term.to_matrix(), -0.5j * 0.37)
@@ -581,7 +583,7 @@ def run(argv) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (BosonSimError, ValueError, KeyError, TypeError) as exc:
+    except (BosonSimError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

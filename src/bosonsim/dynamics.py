@@ -1,6 +1,7 @@
 """Unitary propagation, Trotter error budgeting, and circuit synthesis.
 
-Propagators work on dense Hermitian matrices.  Circuit synthesis targets
+Propagators work on dense Hermitian matrices; a Trotter factor given as a
+Pauli string is applied in closed form instead.  Circuit synthesis targets
 single Pauli-string exponentials e^{-i(θ/2)P} via the CNOT-staircase
 construction, with basis changes H (for X) and S·H (for Y, using
 S X S† = Y).
@@ -49,24 +50,50 @@ def evolve_exact(H: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
     return V @ (np.exp(-1.0j * w * t) * (V.conj().T @ psi0))
 
 
+def require_hermitian_terms(terms, tol: float = 1e-10) -> list[PauliTerm]:
+    """Pauli terms with real coefficients; Im c is allowed up to tol·max(1, max|c|)."""
+    terms = list(terms)
+    scale = max([1.0] + [abs(t.coefficient) for t in terms])
+    if any(abs(complex(t.coefficient).imag) > tol * scale for t in terms):
+        raise DomainError("Pauli terms are not Hermitian within tolerance")
+    return [PauliTerm(t.letters, complex(t.coefficient).real) for t in terms]
+
+
+def _factor(term, tau: float, dim: int):
+    """ψ ↦ e^{−iτ·term}ψ for a dense Hermitian matrix or a Pauli term."""
+    if not isinstance(term, PauliTerm):
+        U = expm_hermitian(np.asarray(term, dtype=complex), -1.0j * tau)
+        return U.__matmul__
+    (term,) = require_hermitian_terms([term])
+    if 1 << term.qubit_count != dim:
+        raise DimensionError(f"{term.qubit_count}-qubit term on a state of dimension {dim}")
+    src, phase = PauliTerm(term.letters, 1.0).signed_permutation()
+    # P² = I, so e^{−iθP} = cos θ·I − i sin θ·P
+    theta = tau * term.coefficient
+    a, b = math.cos(theta), -1.0j * math.sin(theta) * phase
+    return lambda psi: a * psi + b * psi[src]
+
+
 def trotter_evolve(terms, psi0: np.ndarray, t: float, n: int, order: int = 1) -> np.ndarray:
-    """Apply the order-1 or symmetric order-2 product formula n times."""
+    """Apply the order-1 or symmetric order-2 product formula n times.
+
+    Each term is a dense Hermitian matrix or a ``PauliTerm`` with a real
+    coefficient.
+    """
     if n < 1:
         raise ParameterError("n must be >= 1")
     if order not in (1, 2):
         raise ParameterError("order must be 1 or 2")
     psi = np.asarray(psi0, dtype=complex)
     dt = t / n
-    mats = [np.asarray(m, dtype=complex) for m in terms]
     if order == 1:
-        step = [expm_hermitian(m, -1.0j * dt) for m in mats]
-        seq = step
+        seq = [_factor(term, dt, psi.shape[0]) for term in terms]
     else:
-        half = [expm_hermitian(m, -0.5j * dt) for m in mats]
+        half = [_factor(term, 0.5 * dt, psi.shape[0]) for term in terms]
         seq = half + half[::-1]
     for _ in range(n):
-        for U in seq:
-            psi = U @ psi
+        for apply in seq:
+            psi = apply(psi)
     return psi
 
 

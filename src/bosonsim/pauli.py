@@ -2,12 +2,16 @@
 
 Operators are stored as linear combinations of Pauli strings ("letters" over
 {I, X, Y, Z}).  Qubit 0 is the leftmost letter and the most significant
-tensor factor, so ``to_matrix`` Kroneckers the letters left to right.
+tensor factor (bit n−1 of a basis index).  A string acts on basis states
+through its binary symplectic form: X or Y sets a bit of ``x_mask``, Y or Z
+a bit of ``z_mask``, and since Y = iXZ per qubit,
+P|k⟩ = c·i^{#Y}·(−1)^{|k ∧ z_mask|}·|k ⊕ x_mask⟩.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -18,6 +22,9 @@ PRUNE_TOL = 1e-12
 DENSE_LIMIT = 14
 
 _LETTERS = "IXYZ"
+_X_BITS = str.maketrans("IXYZ", "0110")
+_Z_BITS = str.maketrans("IXYZ", "0011")
+_I_POWERS = (1, 1j, -1, -1j)
 
 _SINGLE = {
     "I": np.eye(2, dtype=complex),
@@ -54,14 +61,41 @@ class PauliTerm:
     def qubit_count(self) -> int:
         return len(self.letters)
 
+    @cached_property
+    def x_mask(self) -> int:
+        return int(self.letters.translate(_X_BITS) or "0", 2)
+
+    @cached_property
+    def z_mask(self) -> int:
+        return int(self.letters.translate(_Z_BITS) or "0", 2)
+
+    def signed_permutation(self) -> tuple[np.ndarray, np.ndarray]:
+        """(src, phase) with (P·ψ)[k] = phase[k]·ψ[src[k]] and src[k] = k ⊕ x_mask."""
+        src = np.arange(1 << self.qubit_count) ^ self.x_mask
+        odd = src & self.z_mask
+        for shift in (32, 16, 8, 4, 2, 1):  # parity of the set bits
+            odd ^= odd >> shift
+        unit = complex(self.coefficient) * _I_POWERS[self.letters.count("Y") % 4]
+        return src, unit * (1 - 2 * (odd & 1))
+
+    def apply(self, psi: np.ndarray) -> np.ndarray:
+        """P·ψ in O(2ⁿ), without building the matrix."""
+        psi = np.asarray(psi)
+        if psi.shape != (1 << self.qubit_count,):
+            raise DimensionError(
+                f"state of shape {psi.shape} for {self.qubit_count} qubits"
+            )
+        src, phase = self.signed_permutation()
+        return phase * psi[src]
+
     def to_matrix(self, dense_limit: int = DENSE_LIMIT) -> np.ndarray:
         if self.qubit_count > dense_limit:
             raise CapacityError(
                 f"{self.qubit_count} qubits exceeds dense limit {dense_limit}"
             )
-        m = np.array([[self.coefficient]], dtype=complex)
-        for letter in self.letters:
-            m = np.kron(m, _SINGLE[letter])
+        src, phase = self.signed_permutation()
+        m = np.zeros((src.size, src.size), dtype=complex)
+        m[np.arange(src.size), src] = phase
         return m
 
 

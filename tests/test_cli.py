@@ -1,13 +1,16 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from bosonsim import cli, dynamics, models
 from bosonsim.cli import _parse_range, run
 from bosonsim.dynamics import evolve_exact
 from bosonsim.models import (BoseHubbardParams, build_bose_hubbard, embed_fock,
                              mode_matrices, walk_observables)
+from bosonsim.pauli import PauliSum
 
 
 SB_MODEL = {
@@ -78,6 +81,56 @@ def test_compile_also_emits_circuit(sb_path, tmp_path):
     text = qasm.read_text()
     assert text.startswith("OPENQASM 2.0;")
     assert "qreg q[3];" in text
+
+
+def test_failed_selftest_exits_1(monkeypatch, capsys):
+    def broken():
+        raise AssertionError("broken invariant")
+
+    monkeypatch.setitem(cli._SELFTESTS, "pauli", broken)
+    assert run(["compile", "--selftest"]) == 1
+    assert "pauli: broken invariant" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["compile", "evolve"])
+def test_non_hermitian_pauli_input_exits_2(command, sb_path, tmp_path, monkeypatch, capsys):
+    right = models.build_spin_boson
+
+    def skewed(params):
+        model = right(params)
+        n = model.pauli.qubit_count
+        return dataclasses.replace(model, pauli=model.pauli + PauliSum.from_term("X" * n, 0.3j))
+
+    monkeypatch.setattr(models, "build_spin_boson", skewed)
+    out = tmp_path / "out"
+    argv = [command, "--model", sb_path, "--out", str(out)]
+    if command == "compile":
+        argv += ["--circuits", str(tmp_path / "c.qasm")]
+    assert run(argv) == 2
+    assert "not Hermitian" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec", [
+    {k: v for k, v in SB_MODEL.items() if k != "delta"},
+    dict(SB_MODEL, cutoffs=3),
+    [SB_MODEL],
+    dict(SB_MODEL, model=["spin_boson"]),
+], ids=["missing-field", "scalar-cutoffs", "array", "unhashable-model"])
+def test_malformed_model_spec_exits_2(spec, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(spec))
+    assert run(["compile", "--model", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_type_error_inside_a_command_propagates(sb_path, tmp_path, monkeypatch):
+    def bug(*args, **kwargs):
+        raise TypeError("programming bug")
+
+    monkeypatch.setattr(dynamics, "evolve_exact", bug)
+    with pytest.raises(TypeError, match="programming bug"):
+        run(["evolve", "--model", sb_path, "--out", str(tmp_path / "e.json")])
 
 
 def test_compile_malformed_json_reports_location(tmp_path, capsys):

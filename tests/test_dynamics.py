@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from bosonsim.dynamics import (
@@ -8,14 +10,17 @@ from bosonsim.dynamics import (
     double_bracket_check,
     evolve_exact,
     gadget_anticommutator,
+    require_hermitian_terms,
     synthesize_pauli_exponential,
     trotter_error_bound,
     trotter_evolve,
     trotter_steps_for,
 )
-from bosonsim.errors import DomainError, ParameterError
+from bosonsim.errors import DimensionError, DomainError, ParameterError
 from bosonsim.flows import wegner_flow
 from bosonsim.ground_state import exact_diagonalize
+from bosonsim.models import (HolsteinParams, SpinBosonParams, build_holstein,
+                             build_spin_boson)
 from bosonsim.pauli import PauliTerm
 
 
@@ -75,6 +80,50 @@ def test_convergence_orders():
         slopes = [np.log2(a / b) for a, b in zip(errs, errs[1:])]
         fitted = np.mean(slopes)
         assert abs(fitted - expect) < 0.15
+
+
+@settings(max_examples=60, deadline=None)
+@given(letters=st.text(alphabet="IXYZ", min_size=1, max_size=8),
+       c=st.floats(-2.0, 2.0), theta=st.floats(-3.0, 3.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_closed_form_pauli_factor_equals_expm(letters, c, theta, seed):
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=2 ** len(letters)) + 1j * rng.normal(size=2 ** len(letters))
+    psi /= np.linalg.norm(psi)
+    term = PauliTerm(letters, c)
+    want = expm(-1j * theta * term.to_matrix()) @ psi
+    assert np.max(np.abs(trotter_evolve([term], psi, theta, 1) - want)) < 1e-12
+
+
+@pytest.mark.parametrize("model", [
+    build_spin_boson(SpinBosonParams(delta=1.0, epsilon=0.5, omegas=(1.0, 1.7),
+                                     couplings=(0.3, 0.2), cutoffs=(3, 3))),
+    build_holstein(HolsteinParams(n_sites=3, v=1.0, omega=1.2, g=0.8)),
+], ids=["spin_boson", "holstein"])
+@pytest.mark.parametrize("order", [1, 2])
+def test_pauli_factors_match_the_dense_matrix_path(model, order):
+    terms = require_hermitian_terms(model.pauli.terms)
+    rng = np.random.default_rng(order)
+    psi0 = rng.normal(size=2 ** model.pauli.qubit_count) + 0j
+    psi0 /= np.linalg.norm(psi0)
+    fast = trotter_evolve(terms, psi0, 0.9, 12, order)
+    dense = trotter_evolve([t.to_matrix() for t in terms], psi0, 0.9, 12, order)
+    assert np.max(np.abs(fast - dense)) < 1e-12
+
+
+def test_pauli_factor_rejects_a_complex_coefficient_or_a_wrong_width():
+    psi0 = np.eye(4)[0]
+    with pytest.raises(DomainError):
+        trotter_evolve([PauliTerm("XY", 0.3 + 1e-3j)], psi0, 1.0, 1)
+    with pytest.raises(DimensionError):
+        trotter_evolve([PauliTerm("XYZ", 0.3)], psi0, 1.0, 1)
+
+
+def test_hermitian_terms_tolerance_scales_with_the_largest_coefficient():
+    terms = [PauliTerm("XY", 1e3), PauliTerm("ZZ", 0.5 + 5e-8j)]
+    assert [t.coefficient for t in require_hermitian_terms(terms)] == [1e3, 0.5]
+    with pytest.raises(DomainError):
+        require_hermitian_terms(terms[1:])
 
 
 def test_trotter_steps_for_meets_target():

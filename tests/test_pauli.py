@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bosonsim.errors import CapacityError, DimensionError, ParameterError
 from bosonsim.pauli import (
@@ -98,6 +102,48 @@ def test_text_round_trip():
 def test_dense_limit_guard():
     with pytest.raises(CapacityError):
         PauliSum.from_term("I" * 15).to_matrix()
+    with pytest.raises(CapacityError):
+        PauliTerm("I" * 15, 1).to_matrix()
+
+
+def test_masks_mark_x_and_z_parts_with_qubit_zero_most_significant():
+    t = PauliTerm("XYZI", 1.0)
+    assert (t.x_mask, t.z_mask) == (0b1100, 0b0110)
+    assert (PauliTerm("", 1.0).x_mask, PauliTerm("", 1.0).z_mask) == (0, 0)
+
+
+def test_masks_are_computed_on_first_use_only():
+    t = mul(PauliTerm("XY", 1.0), PauliTerm("ZZ", 2.0))
+    assert "x_mask" not in vars(t) and "z_mask" not in vars(t)
+    t.to_matrix()
+    assert "x_mask" in vars(t) and "z_mask" in vars(t)
+
+
+def test_every_short_string_equals_an_independent_kron_chain():
+    rng = np.random.default_rng(5)
+    for n in range(1, 5):
+        for letters in map("".join, itertools.product("IXYZ", repeat=n)):
+            c = complex(rng.normal(), rng.normal())
+            ref = np.array([[c]])
+            for ch in letters:
+                ref = np.kron(ref, MATS[ch])
+            assert np.array_equal(PauliTerm(letters, c).to_matrix(), ref), letters
+
+
+@settings(max_examples=60, deadline=None)
+@given(letters=st.text(alphabet="IXYZ", min_size=1, max_size=8),
+       re=st.floats(-2.0, 2.0), im=st.floats(-2.0, 2.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_apply_equals_the_matrix_product(letters, re, im, seed):
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=2 ** len(letters)) + 1j * rng.normal(size=2 ** len(letters))
+    term = PauliTerm(letters, complex(re, im))
+    assert np.max(np.abs(term.apply(psi) - term.to_matrix() @ psi)) < 1e-12
+
+
+def test_apply_rejects_a_state_of_the_wrong_width():
+    with pytest.raises(DimensionError):
+        PauliTerm("XZ", 1.0).apply(np.ones(8))
 
 
 def test_mismatched_width_rejected():
