@@ -120,6 +120,13 @@ def _parse_range(text):
     return [float(text)]
 
 
+def _index(i, size, flag):
+    """`i` if it indexes an axis of length `size`, else ParameterError."""
+    if not 0 <= i < size:
+        raise ParameterError(f"{flag} {i} is outside 0..{size - 1}")
+    return i
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -158,7 +165,7 @@ def cmd_evolve(args):
     H = model.pauli_matrix()
     dim = H.shape[0]
     psi0 = np.zeros(dim, dtype=complex)
-    psi0[args.initial_basis_state] = 1.0
+    psi0[_index(args.initial_basis_state, dim, "--initial-basis-state")] = 1.0
     exact = dynamics.evolve_exact(H, psi0, args.t)
     approx = dynamics.trotter_evolve(terms, psi0, args.t, args.steps, args.order)
     emit_json(args.out, {
@@ -202,13 +209,13 @@ def cmd_lindblad(args):
                                      args.gamma_heating, b, n)
     L = open_systems.build_liouvillian(spec)
     rho0 = np.zeros((d, d), dtype=complex)
-    rho0[args.initial_level, args.initial_level] = 1.0
+    level = _index(args.initial_level, d, "--initial-level")
+    rho0[level, level] = 1.0
     rows = []
 
-    def record(tau, rho):
-        rows.append((tau, float(np.real(np.trace(rho @ n))),
-                     float(np.real(np.trace(rho))),
-                     float(np.real(np.trace(rho @ rho)))))
+    def record(tau, rho):  # O(d²) per step: n and rho are Hermitian
+        rows.append((tau, np.vdot(n, rho).real, np.trace(rho).real,
+                     np.vdot(rho, rho).real))
 
     open_systems.propagate_lindblad(L, rho0, args.t, dt=args.dt, record=record)
     emit_csv(args.out, ["t[1/omega]", "mean_n", "trace", "purity"], rows)

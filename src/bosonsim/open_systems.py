@@ -13,6 +13,7 @@ so the generator is trace-preserving, which the tests verify numerically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.linalg import expm
@@ -96,12 +97,16 @@ def lindblad_rhs(spec: LindbladSpec, rho: np.ndarray) -> np.ndarray:
 
 def propagate_lindblad(L: np.ndarray, rho0: np.ndarray, t: float, dt: float = 1e-3,
                        record=None):
-    """RK4 integration of vec(ρ) with per-step re-symmetrization.
+    """ρ(t) = e^{Lt}ρ0 by one step propagator e^{L·dt}, reused for every step.
 
-    `record`, if given, is called as record(time, rho) after every step.
+    Whole steps number ⌊t/dt⌋ (k when t/dt is within 1e-9 relative of an
+    integer k); a remainder step e^{L·r} then ends the series at exactly t.
+    `record`, if given, is called as record(k·dt or t, rho) after every
+    step with a read-only view of the step's state; only the returned
+    final state is re-symmetrized.
     """
-    if dt <= 0:
-        raise ParameterError("dt must be positive")
+    if not (0 < dt < np.inf and 0 <= t < np.inf):
+        raise ParameterError("need finite dt > 0 and t >= 0")
     rho0 = np.asarray(rho0, dtype=complex)
     d = rho0.shape[0]
     if np.max(np.abs(rho0 - rho0.conj().T)) > 1e-10:
@@ -110,34 +115,22 @@ def propagate_lindblad(L: np.ndarray, rho0: np.ndarray, t: float, dt: float = 1e
         raise DomainError("rho0 must have unit trace")
     if np.min(np.linalg.eigvalsh((rho0 + rho0.conj().T) / 2)) < -1e-10:
         raise DomainError("rho0 must be positive semidefinite")
+    x = t / dt
+    steps = round(x)
+    tail = []
+    if abs(x - steps) > 1e-9 * steps:  # t is not a whole number of steps
+        steps = int(x)
+        tail = [(expm(L * (t - steps * dt)), t)]
+    P = expm(L * dt)
     v = vectorize(rho0)
-    steps = int(round(t / dt))
-    remainder = t - steps * dt
-    tau = 0.0
-
-    def rk4(v, h):
-        k1 = L @ v
-        k2 = L @ (v + 0.5 * h * k1)
-        k3 = L @ (v + 0.5 * h * k2)
-        k4 = L @ (v + h * k3)
-        return v + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-    for _ in range(steps):
-        v = rk4(v, dt)
-        rho = devectorize(v, d)
-        rho = (rho + rho.conj().T) / 2.0
-        v = vectorize(rho)
-        tau += dt
+    for U, tau in chain(((P, k * dt) for k in range(1, steps + 1)), tail):
+        v = U @ v
         if record is not None:
+            rho = devectorize(v, d)
+            rho.flags.writeable = False
             record(tau, rho)
-    if abs(remainder) > 1e-15:
-        v = rk4(v, remainder)
-        rho = devectorize(v, d)
-        rho = (rho + rho.conj().T) / 2.0
-        v = vectorize(rho)
-        if record is not None:
-            record(t, rho)
-    return devectorize(v, d)
+    rho = devectorize(v, d)
+    return (rho + rho.conj().T) / 2.0
 
 
 def liouvillian_trotter_step(L_terms, dt: float, order: int = 1) -> np.ndarray:

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from bosonsim import cli, dynamics, models
 from bosonsim.cli import _parse_range, run
 from bosonsim.dynamics import evolve_exact
 from bosonsim.models import (BoseHubbardParams, build_bose_hubbard, embed_fock,
                              mode_matrices, walk_observables)
+from bosonsim.open_systems import LindbladSpec, build_liouvillian
 from bosonsim.pauli import PauliSum
 
 
@@ -224,6 +226,55 @@ def test_lindblad_series_trace_preserving(tmp_path):
     assert rows[-1][1] > rows[0][1]
 
 
+def _lindblad_rows(out):
+    return [line.split(",") for line in out.read_text().splitlines()[1:]]
+
+
+def test_lindblad_series_ends_at_t(tmp_path):
+    out = tmp_path / "lb.csv"
+    assert run(["lindblad", "--t", "0.0016", "--dt", "1e-3",
+                "--out", str(out)]) == 0
+    # one whole step, then a remainder step that lands exactly on t
+    assert [float(r[0]) for r in _lindblad_rows(out)] == [1e-3, 0.0016]
+    assert run(["lindblad", "--t", "1", "--dt", "1e-3", "--out", str(out)]) == 0
+    rows = _lindblad_rows(out)
+    assert len(rows) == 1000 and rows[-1][0] == "1"
+
+
+def test_lindblad_columns_match_exact_state(tmp_path):
+    out = tmp_path / "lb.csv"
+    assert run(["lindblad", "--cutoff", "3", "--omega", "1.3",
+                "--gamma-dephasing", "0.1", "--gamma-heating", "0.05",
+                "--t", "0.05", "--dt", "1e-2", "--initial-level", "2",
+                "--out", str(out)]) == 0
+    b, _, n = mode_matrices(3)
+    L = build_liouvillian(LindbladSpec(1.3 * n, 0.1, 0.05, b, n))
+    v0 = np.zeros(16, dtype=complex)
+    v0[10] = 1.0  # vec(|2><2|)
+    rows = _lindblad_rows(out)
+    assert len(rows) == 5
+    for row in rows:
+        tau, mean_n, trace, purity = map(float, row)
+        rho = (expm(L * tau) @ v0).reshape((4, 4), order="F")
+        assert mean_n == pytest.approx(np.trace(n @ rho).real, abs=1e-12)
+        assert trace == pytest.approx(1.0, abs=1e-12)
+        assert purity == pytest.approx(np.trace(rho @ rho).real, abs=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ["lindblad", "--t", "-1"],
+    ["lindblad", "--cutoff", "3", "--initial-level", "9"],
+    ["lindblad", "--cutoff", "3", "--initial-level", "-1"],
+    ["evolve", "--initial-basis-state", "99999"],
+    ["evolve", "--initial-basis-state", "-3"],
+])
+def test_out_of_range_time_or_index_exits_2(argv, sb_path, tmp_path):
+    if argv[0] == "evolve":
+        argv = argv + ["--model", sb_path, "--steps", "4"]
+    assert run(argv + ["--out", str(tmp_path / "x")]) == 2
+    assert not (tmp_path / "x").exists()
+
+
 def test_pds_sweep_layout(tmp_path):
     out = tmp_path / "pds.csv"
     assert run(["pds", "--g", "0,1.0", "--max-k", "3",
@@ -323,6 +374,11 @@ def test_outputs_are_deterministic(tmp_path, sb_path):
         assert run(["evolve", "--model", sb_path, "--steps", "16",
                     "--out", str(path)]) == 0
     assert ja.read_bytes() == jb.read_bytes()
+    la, lb = tmp_path / "a_lb.csv", tmp_path / "b_lb.csv"
+    for path in (la, lb):
+        assert run(["lindblad", "--cutoff", "7", "--gamma-dephasing", "0.1",
+                    "--gamma-heating", "0.05", "--out", str(path)]) == 0
+    assert la.read_bytes() == lb.read_bytes()
 
 
 def test_float_format_round_trips(tmp_path):

@@ -93,6 +93,26 @@ def test_dephasing_shrinks_purity():
     assert all(a >= b - 1e-12 for a, b in zip(purities, purities[1:]))
 
 
+@pytest.mark.parametrize("cutoff", [3, 7])
+@pytest.mark.parametrize("t", [0.5, 0.5004])
+def test_series_matches_exact_propagator_at_every_step(cutoff, t):
+    # driven and both rates on: L has no phase-covariant shortcut
+    b, bd, n = mode_matrices(cutoff)
+    L = build_liouvillian(LindbladSpec(1.0 * n + 0.4 * (b + bd), 0.05, 0.03, b, n))
+    d, dt = cutoff + 1, 1e-3
+    rho0 = random_density(np.random.default_rng(cutoff), d)
+    series = []
+    propagate_lindblad(L, rho0, t, dt=dt,
+                       record=lambda tau, r: series.append((tau, np.array(r))))
+    times = [k * dt for k in range(1, 501)] + ([t] if t != 0.5 else [])
+    assert [tau for tau, _ in series] == times
+    v0 = vectorize(rho0)
+    for tau, rho in series:
+        assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
+        exact = devectorize(expm(L * tau) @ v0, d)
+        assert np.max(np.abs(rho - exact)) <= 1e-12
+
+
 def test_propagation_validates_input_state():
     L = build_liouvillian(make_spec())
     bad = np.eye(4, dtype=complex)  # trace 4
