@@ -335,6 +335,7 @@ def cmd_wegner(args):
     rng = np.random.default_rng(args.seed)
     A = rng.normal(size=(args.dim, args.dim))
     H0 = (A + A.T) / 2.0
+    # the flow is adaptive: ds only spaces the CSV rows, 10·ds = 1/‖H0‖_F² apart
     ds = 0.1 / max(float(np.linalg.norm(H0)) ** 2, 1e-12)
     traj = flows.wegner_flow(H0, ds=ds, s_max=args.s_max)
     rows = []

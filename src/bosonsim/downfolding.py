@@ -105,7 +105,9 @@ def solve_cc_amplitudes(H: np.ndarray, space: BosonFockSpace,
     Returns (amplitudes, energy, residual_norm); energy is
     ⟨Φ|e^{−T}He^{T}|Φ⟩.  Newton iteration starts from zero amplitudes
     unless ``initial_guess`` is given, so it finds the solution
-    continuously connected to the reference.
+    continuously connected to the reference.  ``tol`` is hybr's
+    ``xtol``, the relative change of the amplitudes between iterates at
+    which it stops; a residual norm above 1e-8 raises ConvergenceError.
     """
     phi = space.reference()
     configs = []
@@ -124,7 +126,7 @@ def solve_cc_amplitudes(H: np.ndarray, space: BosonFockSpace,
 
     x0 = np.zeros(len(basis)) if initial_guess is None else np.asarray(initial_guess, dtype=float)
     sol = root(residual, x0, method="hybr",
-               options={"maxfev": max_iter * (len(basis) + 1)})
+               options={"xtol": tol, "maxfev": max_iter * (len(basis) + 1)})
     res_norm = float(np.linalg.norm(residual(sol.x)))
     if res_norm > 1e-8:
         raise ConvergenceError(

@@ -1,7 +1,8 @@
 """Diagonalizing flows and quadratic-Hamiltonian transformations.
 
 Wegner flow dH/ds = [G, H] with G = [diag(H), H] drives a Hermitian
-matrix toward diagonal form while conserving Tr H and Tr H²; two-site
+matrix toward diagonal form while conserving Tr H and Tr H² (adaptive
+DOP853 up to a terminal event, sampled on a fixed s grid); two-site
 Bogoliubov rotations (trigonometric for fermions, hyperbolic for
 bosons) and the Fourier-Bogoliubov single-particle spectrum of the XY
 chain are verified against direct quadratic-form diagonalization.
@@ -33,62 +34,69 @@ class FlowState:
     trace_h2: float
 
 
-def _off_norm(H: np.ndarray) -> float:
-    off = H - np.diag(np.diag(H))
-    return float(np.linalg.norm(off))
+def _off_norm(H: np.ndarray):
+    """Frobenius norm of the off-diagonal part over the last two axes."""
+    return np.linalg.norm(H * (1 - np.eye(H.shape[-1])), axis=(-2, -1))
 
 
 def wegner_flow(H0: np.ndarray, ds: float | None = None, s_max: float = 50.0,
                 sample_every: int = 10, tol_factor: float = 1e-6):
-    """RK4 integration of dH/ds = [[diag H, H], H] until off-diagonal decay.
+    """DOP853 integration of dH/ds = [[diag H, H], H] until off-diagonal decay.
 
-    Returns the list of sampled FlowState; convergence means the
-    off-diagonal Frobenius norm fell below tol_factor·‖H0‖_F.  A
-    stalled flow (degenerate diagonal with surviving coupling) raises
-    ConvergenceError carrying the trajectory for inspection.
+    A terminal event stops the flow where the off-diagonal Frobenius norm
+    falls to tol_factor·‖H0‖_F.  Returns the re-Hermitized FlowState at
+    s = 0, at every s_k = k·sample_every·ds before that point (read from
+    the dense output: ``ds`` only spaces the samples) and at the stop.
+    A stalled flow (degenerate diagonal with surviving coupling) raises
+    ConvergenceError carrying the trajectory up to s_max for inspection.
     """
+    from scipy.integrate import solve_ivp  # lazy: costs set-up time on import
+
     H = require_hermitian(H0)
+    H = H if H.imag.any() else H.real  # a real flow needs no complex arithmetic
+    n = H.shape[0]
     norm0 = float(np.linalg.norm(H))
     if ds is None:
         ds = 0.01 / max(norm0 ** 2, 1e-12)
     if ds <= 0:
         raise ParameterError("ds must be positive")
-
-    def rhs(M):
-        G = M * (np.real(np.diag(M))[:, None] - np.real(np.diag(M))[None, :])
-        return G @ M - M @ G
-
-    trajectory = [FlowState(0.0, H.copy(), _off_norm(H),
-                            float(np.real(np.trace(H @ H))))]
     tol = tol_factor * max(norm0, 1e-12)
-    s = 0.0
-    step = 0
-    prev_off = _off_norm(H)
-    while s < s_max:
-        k1 = rhs(H)
-        k2 = rhs(H + 0.5 * ds * k1)
-        k3 = rhs(H + 0.5 * ds * k2)
-        k4 = rhs(H + ds * k3)
-        H = H + (ds / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        H = (H + H.conj().T) / 2.0
-        s += ds
-        step += 1
-        off = _off_norm(H)
-        if off > prev_off * (1.0 + 1e-8) + 1e-12:
-            raise ParameterError(
-                f"off-diagonal norm grew at s={s:.4g}; reduce ds (got {ds:.3g})"
-            )
-        if step % sample_every == 0 or off <= tol:
-            trajectory.append(FlowState(s, H.copy(), off,
-                                        float(np.real(np.trace(H @ H)))))
-        prev_off = off
-        if off <= tol:
-            return trajectory
-    raise ConvergenceError(
-        f"flow did not reach off-diagonal norm {tol:.3g} by s={s_max} "
-        "(degenerate diagonal entries stall the generator)",
-        residual=_off_norm(H), trace=trajectory,
-    )
+    off0 = float(_off_norm(H))
+    if off0 <= tol:
+        return [FlowState(0.0, H, off0, float(np.real(np.trace(H @ H))))]
+
+    def rhs(_s, y):
+        M = y.reshape(n, n)
+        d = M.diagonal().real
+        G = M * (d[:, None] - d[None, :])
+        return (G @ M - M @ G).ravel()
+
+    def converged(_s, y):
+        return _off_norm(y.reshape(n, n)) - tol
+    converged.terminal, converged.direction = True, -1
+
+    sol = solve_ivp(rhs, (0.0, s_max), H.ravel(), method="DOP853", events=converged,
+                    dense_output=True, rtol=1e-10, atol=1e-12 * norm0)
+    done = sol.status == 1
+    s_end = sol.t_events[0][0] if done else sol.t[-1]
+    grid = np.arange(sample_every, s_end / ds + sample_every, sample_every) * ds
+    s = np.concatenate([[0.0], grid[grid < s_end], [s_end]])
+    Hs = sol.sol(s).T.reshape(-1, n, n)
+    Hs = (Hs + Hs.conj().swapaxes(1, 2)) / 2.0
+    offs = _off_norm(Hs)
+    grew = np.flatnonzero(offs[1:] > offs[:-1] * (1.0 + 1e-8) + 1e-12)
+    if grew.size:
+        raise ParameterError(f"off-diagonal norm grew at s={s[grew[0] + 1]:.4g}")
+    trace_h2 = np.trace(Hs @ Hs, axis1=1, axis2=2).real
+    trajectory = [FlowState(float(a), M, float(o), float(t))
+                  for a, M, o, t in zip(s, Hs, offs, trace_h2)]
+    if not done:
+        raise ConvergenceError(
+            f"flow did not reach off-diagonal norm {tol:.3g} by s={s_max} "
+            "(degenerate diagonal entries stall the generator)",
+            residual=float(offs[-1]), trace=trajectory,
+        )
+    return trajectory
 
 
 @dataclass(frozen=True)

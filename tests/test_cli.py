@@ -352,6 +352,23 @@ def test_wegner_nonconvergence_exit_code(tmp_path, capsys):
                 "--s-max", "0.001", "--out", str(tmp_path / "w.csv")]) == 3
 
 
+def test_wegner_csv_reaches_the_spectrum(tmp_path):
+    out = tmp_path / "wf.csv"
+    assert run(["wegner", "--dim", "5", "--seed", "7", "--out", str(out)]) == 0
+    A = np.random.default_rng(7).normal(size=(5, 5))
+    H0 = (A + A.T) / 2.0
+    last = np.array([float(v) for v in out.read_text().strip().splitlines()[-1].split(",")])
+    assert np.max(np.abs(np.sort(last[2:]) - np.linalg.eigvalsh(H0))) <= 1e-8
+    tr_h2 = float(np.sum(H0 * H0))
+    assert abs(np.sum(last[2:] ** 2) + last[1] ** 2 - tr_h2) <= 1e-10 * tr_h2
+
+
+def test_wegner_stalling_flow_exit_code(tmp_path):
+    # a near-degenerate start matrix stalls the flow until s_max
+    assert run(["wegner", "--dim", "6", "--seed", "6",
+                "--out", str(tmp_path / "w.csv")]) == 3
+
+
 def test_xy_spectrum_output(tmp_path):
     out = tmp_path / "xy.csv"
     assert run(["xy", "--n", "6", "--gamma", "1.0", "--lam", "0.0",

@@ -71,6 +71,20 @@ def test_cc_amplitudes_reproduce_exact_ground_energy():
     assert energy == pytest.approx(w[0], abs=1e-9)
 
 
+def test_cc_residual_meets_default_tol_across_parameter_box():
+    # hybr's default xtol (1.5e-8) stopped at residuals up to ~2e-9 in this box
+    rng = np.random.default_rng(5)
+    basis = excitation_basis(SP)
+    for _ in range(20):
+        mu = (1.0 + rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2),
+              -1.0 + rng.uniform(-0.2, 0.2))
+        H = bose_hubbard_fixed_n(SP, t=rng.uniform(0.3, 0.6), U=rng.uniform(0.3, 0.7),
+                                 V=rng.uniform(0.1, 0.3), mu=mu)
+        _, energy, res = solve_cc_amplitudes(H, SP, basis)
+        assert res <= 1e-10
+        assert np.min(np.abs(np.linalg.eigvalsh(H) - energy)) < 1e-9
+
+
 def test_heff_eigenvalue_identity_at_exact_amplitudes():
     basis = excitation_basis(SP)
     amps, energy, _ = solve_cc_amplitudes(H_REF, SP, basis)

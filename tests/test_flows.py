@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bosonsim.errors import DomainError, ParameterError
+from bosonsim.errors import ConvergenceError, DomainError, ParameterError
 from bosonsim.flows import (
     bogoliubov_2site,
     pairing_block,
@@ -84,6 +84,46 @@ def test_flow_constant_on_diagonal_start():
     traj = wegner_flow(np.diag([2.0, -1.0, 0.5]))
     assert len(traj) >= 1
     assert traj[-1].off_diagonal_norm == 0.0
+
+
+def test_flow_samples_on_fixed_grid_and_stops_at_tolerance():
+    rng = np.random.default_rng(4)
+    A = rng.normal(size=(5, 5))
+    H0 = (A + A.T) / 2
+    ds, every = 3e-3, 7
+    traj = wegner_flow(H0, ds=ds, s_max=300.0, sample_every=every)
+    tol = 1e-6 * np.linalg.norm(H0)
+    assert len(traj) > 3
+    for k, st in enumerate(traj[:-1]):
+        assert st.s == k * every * ds
+        assert st.off_diagonal_norm > tol
+    # the terminal event stops at the root of off-norm − tol, to rounding
+    assert traj[-1].off_diagonal_norm == pytest.approx(tol, rel=1e-9)
+    assert traj[-2].s < traj[-1].s <= traj[-2].s + every * ds
+
+
+def test_flow_keeps_complex_hermitian_phases():
+    rng = np.random.default_rng(9)
+    A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    H0 = (A + A.conj().T) / 2
+    w = np.linalg.eigvalsh(H0)
+    traj = wegner_flow(H0, s_max=300.0)
+    assert np.max(np.abs(np.sort(np.real(np.diag(traj[-1].H))) - w)) < 1e-8
+    # the flow is isospectral: dropping the imaginary parts would move these
+    for st in traj[1:5]:
+        assert np.max(np.abs(st.H.imag)) > 0.1
+        assert np.max(np.abs(np.linalg.eigvalsh(st.H) - w)) < 1e-8
+
+
+def test_flow_unconverged_by_s_max_carries_trajectory():
+    rng = np.random.default_rng(1)
+    A = rng.normal(size=(5, 5))
+    H0 = (A + A.T) / 2
+    with pytest.raises(ConvergenceError) as info:
+        wegner_flow(H0, s_max=0.05)
+    trace = info.value.trace
+    assert trace[0].s == 0.0 and trace[-1].s == 0.05
+    assert info.value.residual == trace[-1].off_diagonal_norm > 1e-6 * np.linalg.norm(H0)
 
 
 def test_fermionic_three_four_five():

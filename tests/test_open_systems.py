@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 
 from bosonsim.errors import DomainError, ParameterError
 from bosonsim.models import mode_matrices
@@ -107,10 +108,14 @@ def test_series_matches_exact_propagator_at_every_step(cutoff, t):
     times = [k * dt for k in range(1, 501)] + ([t] if t != 0.5 else [])
     assert [tau for tau, _ in series] == times
     v0 = vectorize(rho0)
-    for tau, rho in series:
+    # one expm_multiply sweep over the whole steps; expm at the last one and at t
+    exact = list(expm_multiply(L, v0, start=dt, stop=0.5, num=500, endpoint=True))
+    exact[-1] = expm(L * 0.5) @ v0
+    if t != 0.5:
+        exact.append(expm(L * t) @ v0)
+    for (tau, rho), ref in zip(series, exact, strict=True):
         assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
-        exact = devectorize(expm(L * tau) @ v0, d)
-        assert np.max(np.abs(rho - exact)) <= 1e-12
+        assert np.max(np.abs(rho - devectorize(ref, d))) <= 1e-12
 
 
 def test_propagation_validates_input_state():
