@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 a --selftest check failed, 2 validation/usage
 error, 3 convergence failure, 4 I/O error.  CSV output follows RFC 4180
 with a header row; floats are printed with 17 significant digits so they
 round-trip exactly.  JSON output uses sorted keys.  Every subcommand
-accepts ``--selftest`` to run its module's invariant checks.
+accepts ``--selftest``: each module check reports its defect against the
+module's own oracle, and a defect above the check's bound (or NaN) exits 1.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from . import dynamics, models
 from .encodings import FockSpace, occupation_sector
 from .errors import BosonSimError, ConvergenceError, ParameterError
-from .pauli import PauliTerm
+from .pauli import PauliSum, PauliTerm
 
 _FLOAT = "{:.17g}"
 
@@ -133,8 +134,6 @@ def _index(i, size, flag):
 
 
 def cmd_compile(args):
-    if args.selftest:
-        return _selftest("pauli", "encodings", "models")
     model = _load_model(args.model)
     gl = _first_order_circuit(model, args.dt) if args.circuits else None
     _write(args.out, model.pauli.to_text())
@@ -158,8 +157,6 @@ def _first_order_circuit(model, dt):
 
 
 def cmd_evolve(args):
-    if args.selftest:
-        return _selftest("dynamics")
     model = _load_model(args.model)
     terms = dynamics.require_hermitian_terms(model.pauli.terms)
     H = model.pauli_matrix()
@@ -179,8 +176,6 @@ def cmd_evolve(args):
 
 
 def cmd_walk(args):
-    if args.selftest:
-        return _selftest("models")
     params = models.BoseHubbardParams(
         n_sites=args.sites, t=args.hop, U=args.U, V=args.V,
         mu=0.0, Nb=2)
@@ -199,8 +194,6 @@ def cmd_walk(args):
 
 
 def cmd_lindblad(args):
-    if args.selftest:
-        return _selftest("open_systems")
     from . import open_systems
     d = args.cutoff + 1
     b, bd, n = models.mode_matrices(args.cutoff)
@@ -223,8 +216,6 @@ def cmd_lindblad(args):
 
 
 def cmd_pds(args):
-    if args.selftest:
-        return _selftest("ground_state")
     from . import ground_state
     gs = _parse_range(args.g)
     rows = []
@@ -247,8 +238,6 @@ def cmd_pds(args):
 
 
 def cmd_downfold(args):
-    if args.selftest:
-        return _selftest("downfolding")
     from . import downfolding
     sp = downfolding.BosonFockSpace(3, 2)
     H = downfolding.bose_hubbard_fixed_n(
@@ -275,8 +264,6 @@ def cmd_downfold(args):
 
 
 def cmd_trunc(args):
-    if args.selftest:
-        return _selftest("trunc_bounds")
     from . import trunc_bounds
     rows = []
     for t in _parse_range(args.t):
@@ -292,8 +279,6 @@ def cmd_trunc(args):
 
 
 def cmd_blockenc(args):
-    if args.selftest:
-        return _selftest("block_encoding")
     from . import block_encoding
     enc = block_encoding.boson_block_encode(args.cutoff, args.xi)
     emit_json(args.out, {
@@ -307,8 +292,6 @@ def cmd_blockenc(args):
 
 
 def cmd_prep(args):
-    if args.selftest:
-        return _selftest("state_prep")
     from . import state_prep
     c = np.array([complex(v) for v in args.c.split(",")])
     c = c / np.linalg.norm(c)
@@ -329,8 +312,6 @@ def cmd_prep(args):
 
 
 def cmd_wegner(args):
-    if args.selftest:
-        return _selftest("flows")
     from . import flows
     rng = np.random.default_rng(args.seed)
     A = rng.normal(size=(args.dim, args.dim))
@@ -348,8 +329,6 @@ def cmd_wegner(args):
 
 
 def cmd_xy(args):
-    if args.selftest:
-        return _selftest("flows")
     from . import flows
     spec = flows.xy_spectrum(args.n, args.j, args.gamma, args.lam)
     rows = list(zip(spec["k"], spec["eps_k"], spec["delta_k"], spec["E_k"]))
@@ -358,15 +337,17 @@ def cmd_xy(args):
 
 
 # ---------------------------------------------------------------------------
-# self-tests
+# self-tests: each returns (defect, bound) against its module's own oracle
 # ---------------------------------------------------------------------------
 
 
-def _selftest(*module_names):
+def _selftest(module_names):
     failures = []
     for name in module_names:
         try:
-            _SELFTESTS[name]()
+            defect, bound = _SELFTESTS[name]()
+            if not defect <= bound:  # a NaN defect fails too
+                failures.append(f"{name}: defect {defect:.3g} exceeds {bound:g}")
         except Exception as exc:  # report, keep going
             failures.append(f"{name}: {exc}")
     for line in failures:
@@ -374,105 +355,85 @@ def _selftest(*module_names):
     return 1 if failures else 0
 
 
+def _max_abs(a, b):
+    return float(np.max(np.abs(a - b)))
+
+
 def _st_pauli():
-    from .pauli import PauliSum, mul
-    a = PauliTerm("XY", 1.0)
-    b = PauliTerm("YX", 1.0)
-    assert mul(a, b).letters == "ZZ"
-    s = PauliSum.from_term("XY") + PauliSum.from_term("YX")
-    assert np.allclose(s.to_matrix(), a.to_matrix() + b.to_matrix())
-    assert PauliSum.from_text(s.to_text()).terms == s.terms
+    H = PauliSum({"XYZ": 0.25 - 0.5j, "ZIX": 1 / 3, "YYI": -0.7}, 3)
+    return _max_abs(PauliSum.from_text(H.to_text()).to_matrix(), H.to_matrix()), 1e-12
 
 
-def _st_encodings():
-    from .encodings import boson_ops_binary, boson_ops_unary
-    for ops in (boson_ops_unary(3), boson_ops_binary(2)):
-        bdag = ops["creation"].to_matrix()
-        ann = ops["annihilation"].to_matrix()
-        n = ops["number"].to_matrix()
-        assert np.allclose(bdag, ann.conj().T)
-        assert np.allclose(n, n.conj().T)
-
-
-def _st_models():
+def _st_identification(encoding):
     params = models.SpinBosonParams(delta=1.0, epsilon=0.5, omegas=(1.0,),
                                     couplings=(0.2,), cutoffs=(3,))
-    m = models.build_spin_boson(params)
-    assert m.identification_defect() < 1e-10
+    return models.build_spin_boson(params, encoding).identification_defect(), 1e-10
 
 
 def _st_dynamics():
     term = PauliTerm("XY", 1.0)
-    gl = dynamics.synthesize_pauli_exponential(term, 0.37)
-    target = dynamics.expm_hermitian(term.to_matrix(), -0.5j * 0.37)
-    assert np.max(np.abs(gl.unitary() - target)) < 1e-12
+    U = dynamics.synthesize_pauli_exponential(term, 0.37).unitary()
+    return _max_abs(U, dynamics.expm_hermitian(term.to_matrix(), -0.5j * 0.37)), 1e-12
 
 
 def _st_open_systems():
-    from . import open_systems
-    b, bd, n = models.mode_matrices(3)
-    spec = open_systems.LindbladSpec(1.0 * n, 0.05, 0.02, b, n)
-    L = open_systems.build_liouvillian(spec)
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[1, 1] = 1.0
-    out = open_systems.propagate_lindblad(L, rho, 0.5, dt=1e-3)
-    assert abs(np.trace(out) - 1.0) < 1e-8
+    from . import open_systems as osys
+    b, _, n = models.mode_matrices(3)
+    spec = osys.LindbladSpec(n, 0.05, 0.02, b, n)
+    rho = np.full((4, 4), 0.25, dtype=complex)  # off-diagonal, so [H, ρ] ≠ 0
+    L = osys.build_liouvillian(spec)
+    rhs = _max_abs(L @ osys.vectorize(rho), osys.vectorize(osys.lindblad_rhs(spec, rho)))
+    trace = abs(np.trace(osys.propagate_lindblad(L, rho, 0.5, dt=1e-3)) - 1.0)
+    return float(np.max([rhs, trace])), 1e-10
 
 
 def _st_ground_state():
     from . import ground_state
-    H = np.diag([0.0, 1.0, 3.0])
-    phi = np.array([0.8, 0.6, 0.0])
-    mom = ground_state.moments(H, phi, 3)
-    res = ground_state.pds(mom, 2)
-    assert abs(res.lowest_root) < 1e-8
+    mom = ground_state.moments(np.diag([0.0, 1.0, 3.0]), np.array([0.8, 0.6, 0.0]), 3)
+    return abs(ground_state.pds(mom, 2).lowest_root), 1e-8
 
 
 def _st_downfolding():
     from . import downfolding
     sp = downfolding.BosonFockSpace(3, 2)
     H = downfolding.bose_hubbard_fixed_n(sp, 1.0, 0.5, 1.0, (-1.0, 0.0, 1.0))
-    out = downfolding.nested_optimize(H, sp)
-    w = np.linalg.eigvalsh(H)
-    assert abs(out["energy"] - w[0]) < 1e-6
+    energy = downfolding.nested_optimize(H, sp)["energy"]
+    return abs(energy - float(np.linalg.eigvalsh(H)[0])), 1e-6
 
 
 def _st_trunc_bounds():
     from . import trunc_bounds
     inp = trunc_bounds.TruncationInput(lambda0=1, chi=2.0, t=1.0, eps=1e-2)
-    lam, plan = trunc_bounds.hamiltonian_cutoff(inp)
-    assert abs(sum(plan.durations) - 1.0) < 1e-12
+    _, plan = trunc_bounds.hamiltonian_cutoff(inp)
     recheck = plan.recompute_total_bound_log()
-    for name, slot in plan.budget.items():
-        assert abs(recheck[name] - slot["total_log_bound"]) < 1e-12
+    defects = [abs(recheck[k] - slot["total_log_bound"]) for k, slot in plan.budget.items()]
+    return float(np.max(defects + [abs(sum(plan.durations) - inp.t)])), 1e-12
 
 
 def _st_block_encoding():
     from . import block_encoding
     enc = block_encoding.boson_block_encode(8, 256)
-    assert enc.measured_error <= enc.error_bound + 1e-15
+    return enc.measured_error, enc.error_bound + 1e-15
 
 
 def _st_state_prep():
     from . import state_prep
-    c = np.array([math.sqrt(1 / 3.0), math.sqrt(2 / 3.0)])
-    plan = state_prep.plan_prep(c, "B")
-    sim = state_prep.simulate_prep(plan, [np.eye(2)[0], np.eye(2)[1]])
-    assert sim["fidelity"] > 1 - 1e-10
-    assert abs(sim["probability"] - plan.p_success) < 1e-10
+    plan = state_prep.plan_prep(np.sqrt([1 / 3.0, 2 / 3.0]), "B")
+    sim = state_prep.simulate_prep(plan, np.eye(2))
+    return float(np.max([1.0 - sim["fidelity"],
+                         abs(sim["probability"] - plan.p_success)])), 1e-10
 
 
 def _st_flows():
     from . import flows
     sp = flows.xy_spectrum(6, 1.0, 0.5, 1.0)
-    bdg = flows.xy_bdg_spectrum(6, 1.0, 0.5, 1.0)
-    assert np.max(np.abs(np.sort(sp["E_k"]) - bdg)) < 1e-10
+    return _max_abs(np.sort(sp["E_k"]), flows.xy_bdg_spectrum(6, 1.0, 0.5, 1.0)), 1e-10
 
 
 _SELFTESTS = {
     "pauli": _st_pauli,
-    "encodings": _st_encodings,
-    "models": _st_models,
+    "encodings": lambda: _st_identification("unary"),
+    "models": lambda: _st_identification("binary"),
     "dynamics": _st_dynamics,
     "open_systems": _st_open_systems,
     "ground_state": _st_ground_state,
@@ -496,35 +457,36 @@ def build_parser():
                     "bounds, and downfolding.")
     sub = p.add_subparsers(dest="command")
 
-    def add(name, fn, help_):
+    def add(name, fn, help_, *checks):
         sp = sub.add_parser(name, help=help_)
-        sp.set_defaults(fn=fn)
+        sp.set_defaults(fn=fn, checks=checks)
         sp.add_argument("--out", default="-", help="output path (default stdout)")
         sp.add_argument("--selftest", action="store_true",
-                        help="run module invariant checks and exit")
+                        help="check the modules against their oracles and exit")
         sp.add_argument("--seed", type=int, default=0)
         return sp
 
-    sp = add("compile", cmd_compile, "compile a model to a Pauli-sum text file")
+    sp = add("compile", cmd_compile, "compile a model to a Pauli-sum text file",
+             "pauli", "encodings", "models")
     sp.add_argument("--model", help="model JSON path")
     sp.add_argument("--circuits", help="also write a first-order step as QASM")
     sp.add_argument("--dt", type=float, default=0.1)
 
-    sp = add("evolve", cmd_evolve, "Trotter vs exact evolution report")
+    sp = add("evolve", cmd_evolve, "Trotter vs exact evolution report", "dynamics")
     sp.add_argument("--model", help="model JSON path")
     sp.add_argument("--t", type=float, default=1.0)
     sp.add_argument("--steps", type=int, default=64)
     sp.add_argument("--order", type=int, default=2)
     sp.add_argument("--initial-basis-state", type=int, default=0)
 
-    sp = add("walk", cmd_walk, "two-boson walk pair correlations")
+    sp = add("walk", cmd_walk, "two-boson walk pair correlations", "models")
     sp.add_argument("--sites", type=int, default=5)
     sp.add_argument("--hop", type=float, default=1.0)
     sp.add_argument("--U", type=float, default=1.0)
     sp.add_argument("--V", type=float, default=0.0)
     sp.add_argument("--t", type=float, default=1.0)
 
-    sp = add("lindblad", cmd_lindblad, "single-mode open-system time series")
+    sp = add("lindblad", cmd_lindblad, "single-mode open-system time series", "open_systems")
     sp.add_argument("--cutoff", type=int, default=3)
     sp.add_argument("--omega", type=float, default=1.0)
     sp.add_argument("--gamma-dephasing", type=float, default=0.0)
@@ -533,39 +495,41 @@ def build_parser():
     sp.add_argument("--dt", type=float, default=1e-3)
     sp.add_argument("--initial-level", type=int, default=1)
 
-    sp = add("pds", cmd_pds, "moment-method sweep on the 3-site Holstein model")
+    sp = add("pds", cmd_pds, "moment-method sweep on the 3-site Holstein model",
+             "ground_state")
     sp.add_argument("--g", default="0,0.5,1.0,1.5,2.0")
     sp.add_argument("--hop", type=float, default=1.0)
     sp.add_argument("--omega", type=float, default=1.0)
     sp.add_argument("--max-k", type=int, default=5)
 
-    sp = add("downfold", cmd_downfold, "nested ansatz optimization report")
+    sp = add("downfold", cmd_downfold, "nested ansatz optimization report", "downfolding")
     sp.add_argument("--hop", type=float, default=1.0)
     sp.add_argument("--U", type=float, default=0.5)
     sp.add_argument("--V", type=float, default=1.0)
     sp.add_argument("--mu", default="-1,0,1")
     sp.add_argument("--csv", help="also write per-iteration error CSV")
 
-    sp = add("trunc", cmd_trunc, "truncation-cutoff calculator sweep")
+    sp = add("trunc", cmd_trunc, "truncation-cutoff calculator sweep", "trunc_bounds")
     sp.add_argument("--lambda0", type=int, default=1)
     sp.add_argument("--chi", type=float, default=2.0)
     sp.add_argument("--t", default="1..10")
     sp.add_argument("--eps", type=float, default=1e-3)
     sp.add_argument("--modes", type=int, default=1)
 
-    sp = add("blockenc", cmd_blockenc, "creation-operator block encoding report")
+    sp = add("blockenc", cmd_blockenc, "creation-operator block encoding report",
+             "block_encoding")
     sp.add_argument("--cutoff", type=int, default=8, help="Λ (power of 2)")
     sp.add_argument("--xi", type=int, default=256, help="Ξ (power of 2)")
 
-    sp = add("prep", cmd_prep, "state-preparation plan and simulation")
+    sp = add("prep", cmd_prep, "state-preparation plan and simulation", "state_prep")
     sp.add_argument("--c", default="0.5773502691896258,0.816496580927726")
     sp.add_argument("--scheme", choices=("A", "B"), default="A")
 
-    sp = add("wegner", cmd_wegner, "diagonalizing flow trajectory")
+    sp = add("wegner", cmd_wegner, "diagonalizing flow trajectory", "flows")
     sp.add_argument("--dim", type=int, default=6)
     sp.add_argument("--s-max", type=float, default=500.0)
 
-    sp = add("xy", cmd_xy, "XY-chain single-particle spectrum")
+    sp = add("xy", cmd_xy, "XY-chain single-particle spectrum", "flows")
     sp.add_argument("--n", type=int, default=6)
     sp.add_argument("--j", type=float, default=1.0)
     sp.add_argument("--gamma", type=float, default=0.5)
@@ -587,6 +551,8 @@ def run(argv) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
+        if args.selftest:
+            return _selftest(args.checks)
         return args.fn(args)
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

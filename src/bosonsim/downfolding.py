@@ -156,15 +156,10 @@ def build_heff(H: np.ndarray, space: BosonFockSpace, amplitudes,
     on the active modes ∪ {0}.
     """
     active = set(active_modes)
-    T_ext = np.zeros((space.dim, space.dim))
-    for t, exc in zip(amplitudes, basis):
-        if not exc.is_internal(active):
-            T_ext += t * exc.matrix(space)
+    external = [(t, exc) for t, exc in zip(amplitudes, basis) if not exc.is_internal(active)]
+    T_ext = cluster_matrix([t for t, _ in external], [exc for _, exc in external], space)
     gen = T_ext - T_ext.T if unitary else T_ext
-    if unitary:
-        Ht = expm(-gen) @ H @ expm(gen)
-    else:
-        Ht = expm(-T_ext) @ H @ expm(T_ext)
+    Ht = expm(-gen) @ H @ expm(gen)
     keep = [
         i for i, occ in enumerate(space.basis)
         if all(n == 0 or m == 0 or m in active for m, n in enumerate(occ))
@@ -232,14 +227,6 @@ def duccsd_generators(space: BosonFockSpace):
         ("s2", anti((2, 1), (0, 0))),
         ("s3", anti((2,), (0,))),
     ]
-
-
-def givens_apply(generator: np.ndarray, angle: float, psi: np.ndarray) -> np.ndarray:
-    """ψ' = e^{angle·σ} ψ for an anti-Hermitian generator σ."""
-    G = np.asarray(generator)
-    if np.max(np.abs(G + G.conj().T)) > 1e-10:
-        raise DomainError("generator must be anti-Hermitian")
-    return expm(angle * G) @ np.asarray(psi, dtype=float if np.isrealobj(psi) else complex)
 
 
 def apply_ansatz(params: AnsatzParams, space: BosonFockSpace | None = None) -> np.ndarray:

@@ -163,7 +163,7 @@ class RegisterLayout:
                 elif encoding == "binary":
                     width = max(1, math.ceil(math.log2(cutoff + 1)))
                     # full binary register: round the cutoff up
-                    cutoff = 2**width - 1 if spec.get("round_up", True) else cutoff
+                    cutoff = 2**width - 1
                 else:
                     raise ParameterError(f"unknown encoding {encoding!r}")
             else:

@@ -11,7 +11,6 @@ test suite at every dense-testable size.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -19,6 +18,7 @@ import numpy as np
 
 from .encodings import (
     FockSpace,
+    Register,
     RegisterLayout,
     boson_ops_binary,
     boson_ops_unary,
@@ -101,12 +101,8 @@ class EncodedHamiltonian:
                  "holstein": holstein_fock}[self.kind]
         return build(self.layout.fock_space(), self.params).astype(complex)
 
-    @property
-    def fock_dims(self) -> tuple[int, ...]:
-        return self.layout.fock_dims
-
-    def pauli_matrix(self, dense_limit: int = 14) -> np.ndarray:
-        return self.pauli.to_matrix(dense_limit)
+    def pauli_matrix(self) -> np.ndarray:
+        return self.pauli.to_matrix()
 
     def identification_defect(self) -> float:
         """Max deviation between the two forms on the encoded subspace."""
@@ -181,13 +177,11 @@ def holstein_fock(space: FockSpace, p: HolsteinParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _boson_pauli_ops(encoding: str, width_cutoff: int):
-    if encoding == "unary":
-        return boson_ops_unary(width_cutoff)
-    if encoding == "binary":
-        nq = max(1, math.ceil(math.log2(width_cutoff + 1)))
-        return boson_ops_binary(nq)
-    raise ParameterError(f"unknown encoding {encoding!r}")
+def _boson_pauli_ops(reg: Register) -> dict[str, PauliSum]:
+    """Ladder operators of one boson register, at the width its layout gave it."""
+    if reg.encoding == "unary":
+        return boson_ops_unary(reg.cutoff)
+    return boson_ops_binary(reg.width)
 
 
 def build_bose_hubbard(p: BoseHubbardParams, encoding: str = "binary") -> EncodedHamiltonian:
@@ -201,7 +195,7 @@ def build_bose_hubbard(p: BoseHubbardParams, encoding: str = "binary") -> Encode
     )
     mus = p.mu_list()
     nq = layout.total_qubits
-    local = _boson_pauli_ops(encoding, p.Nb)
+    local = _boson_pauli_ops(layout.registers[0])
     create = [embed(local["creation"], layout, i) for i in range(p.n_sites)]
     annih = [embed(local["annihilation"], layout, i) for i in range(p.n_sites)]
     number = [embed(local["number"], layout, i) for i in range(p.n_sites)]
@@ -232,8 +226,8 @@ def build_spin_boson(p: SpinBosonParams, encoding: str = "binary") -> EncodedHam
     X = embed(PauliSum.from_term("X"), layout, 0)
     Z = embed(PauliSum.from_term("Z"), layout, 0)
     H = p.delta * X + (0.5 * p.epsilon) * Z
-    for m, (w, g, c) in enumerate(zip(p.omegas, p.couplings, p.cutoffs)):
-        local = _boson_pauli_ops(encoding, c)
+    for m, (w, g) in enumerate(zip(p.omegas, p.couplings)):
+        local = _boson_pauli_ops(layout.registers[m + 1])
         nm = embed(local["number"], layout, m + 1)
         xm = embed(local["creation"] + local["annihilation"], layout, m + 1)
         H = H + w * nm + (0.5 * g * w) * (X * xm)
@@ -263,7 +257,7 @@ def build_holstein(p: HolsteinParams, encoding: str = "binary") -> EncodedHamilt
     pad = PauliSum.identity(nq - p.n_sites)
     fc = [ops["creation"].tensor(pad) for ops in fml]
     fa = [ops["annihilation"].tensor(pad) for ops in fml]
-    local = _boson_pauli_ops(encoding, p.Nb)
+    local = _boson_pauli_ops(layout.registers[p.n_sites])
 
     H = PauliSum.zero(nq)
     for i, j in pairs:

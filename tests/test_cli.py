@@ -1,12 +1,18 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from bosonsim import cli, dynamics, models
+import bosonsim
+from bosonsim import (block_encoding, cli, downfolding, dynamics, encodings, flows,
+                      ground_state, models, open_systems, state_prep, trunc_bounds)
 from bosonsim.cli import _parse_range, run
 from bosonsim.dynamics import evolve_exact
 from bosonsim.models import (BoseHubbardParams, build_bose_hubbard, embed_fock,
@@ -92,6 +98,73 @@ def test_failed_selftest_exits_1(monkeypatch, capsys):
     monkeypatch.setitem(cli._SELFTESTS, "pauli", broken)
     assert run(["compile", "--selftest"]) == 1
     assert "pauli: broken invariant" in capsys.readouterr().err
+
+
+def _scaled_creation(ops):
+    # a creation sum 1.5 times too large: b = (b†)† and n = b†b follow it
+    return {"creation": 1.5 * ops["creation"],
+            "annihilation": 1.5 * ops["annihilation"],
+            "number": 2.25 * ops["number"]}
+
+
+# module -> (subcommand, owner, attribute, right -> wrong): one fault the
+# module's --selftest check must catch
+FAULTS = {
+    "pauli": ("compile", PauliSum, "to_text",
+              lambda right: lambda self: right(self.adjoint())),
+    "encodings": ("compile", encodings, "boson_ops_unary",
+                  lambda right: lambda Nb: _scaled_creation(right(Nb))),
+    "models": ("compile", models, "_boson_pauli_ops",
+               lambda right: lambda *a: dict(right(*a), number=1.1 * right(*a)["number"])),
+    "dynamics": ("evolve", dynamics, "synthesize_pauli_exponential",
+                 lambda right: lambda term, theta: right(term, 1.1 * theta)),
+    "open_systems": ("lindblad", open_systems, "build_liouvillian",  # [H, ρ] sign flipped
+                     lambda right: lambda spec: right(dataclasses.replace(spec, H=-spec.H))),
+    "ground_state": ("pds", ground_state, "moments",
+                     lambda right: lambda H, phi, k: right(H + 0.1 * np.eye(len(H)), phi, k)),
+    "downfolding": ("downfold", downfolding, "apply_ansatz",  # r2 rotation dropped
+                    lambda right: lambda params, space=None:
+                    right(dataclasses.replace(params, r2=0.0), space)),
+    "trunc_bounds": ("trunc", trunc_bounds, "_durations_from_profile",
+                     lambda right: lambda *a: [1.01 * d for d in right(*a)]),
+    "block_encoding": ("blockenc", block_encoding, "_sign_table",
+                       lambda right: lambda *a: 0),
+    "state_prep": ("prep", state_prep, "plan_prep",
+                   lambda right: lambda c, scheme="A": dataclasses.replace(
+                       right(c, scheme), p_success=0.9 * right(c, scheme).p_success)),
+    "flows": ("xy", flows, "xy_spectrum",
+              lambda right: lambda *a: dict(right(*a), E_k=1.1 * right(*a)["E_k"])),
+}
+
+
+@pytest.mark.parametrize("module", sorted(FAULTS))
+def test_selftest_catches_a_fault_in_its_module(module, monkeypatch, capsys):
+    command, owner, attr, wrong = FAULTS[module]
+    right = getattr(owner, attr)
+    # the fault holds wherever the function is bound, also where it was imported by name
+    for ns in [owner] + [m for n, m in sys.modules.items() if n.startswith("bosonsim.")]:
+        if getattr(ns, attr, None) is right:
+            monkeypatch.setattr(ns, attr, wrong(right))
+    assert run([command, "--selftest"]) == 1
+    assert f"selftest FAILED: {module}: " in capsys.readouterr().err
+
+
+BROKEN_XY_ORACLE = """
+import sys
+import numpy as np
+from bosonsim import cli, flows
+flows.xy_bdg_spectrum = lambda *args: np.full(6, 99.0)
+sys.exit(cli.run(["xy", "--selftest"]))
+"""
+
+
+def test_selftest_fails_under_python_O():
+    # the comparison is not an assert, so -O does not remove it
+    env = dict(os.environ, PYTHONPATH=str(Path(bosonsim.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-O", "-c", BROKEN_XY_ORACLE], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 1
+    assert "selftest FAILED: flows: defect 99 exceeds 1e-10" in out.stderr
 
 
 @pytest.mark.parametrize("command", ["compile", "evolve"])
