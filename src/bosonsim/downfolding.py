@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -48,6 +49,26 @@ class BosonFockSpace(FockSpace):
         """(b†_0)^N |vac⟩ / √(N!): all particles in mode 0."""
         occ = (self.N,) + (0,) * (self.M - 1)
         return self.state(occ)
+
+    @cached_property
+    def duccsd_generators(self) -> tuple:
+        """The five-rotation ansatz generators, built on first use; read-only."""
+        if (self.M, self.N) != (3, 2):
+            raise ParameterError("the five-rotation ansatz targets M=3, N=2")
+
+        def anti(create, annihilate):
+            E = self.excitation_matrix(create, annihilate)
+            G = E - E.T
+            G.flags.writeable = False
+            return G
+
+        return (
+            ("r1", anti((1, 1), (0, 0))),
+            ("r2", anti((1,), (0,))),
+            ("s1", anti((2, 2), (0, 0))),
+            ("s2", anti((2, 1), (0, 0))),
+            ("s3", anti((2,), (0,))),
+        )
 
 
 def bose_hubbard_fixed_n(space: BosonFockSpace, t, U, V, mu) -> np.ndarray:
@@ -211,22 +232,13 @@ class AnsatzParams:
         return [self.r1, self.r2, self.s1, self.s2, self.s3]
 
 
-def duccsd_generators(space: BosonFockSpace):
-    """Ordered anti-Hermitian generators (application order r1,r2,s1,s2,s3)."""
-    if (space.M, space.N) != (3, 2):
-        raise ParameterError("the five-rotation ansatz targets M=3, N=2")
+def duccsd_generators(space: BosonFockSpace) -> tuple:
+    """Ordered anti-Hermitian generators (application order r1,r2,s1,s2,s3).
 
-    def anti(create, annihilate):
-        E = space.excitation_matrix(create, annihilate)
-        return E - E.T
-
-    return [
-        ("r1", anti((1, 1), (0, 0))),
-        ("r2", anti((1,), (0,))),
-        ("s1", anti((2, 2), (0, 0))),
-        ("s2", anti((2, 1), (0, 0))),
-        ("s3", anti((2,), (0,))),
-    ]
+    Built once per space and cached on it, so repeated ansatz evaluations
+    share the same read-only matrices.
+    """
+    return space.duccsd_generators
 
 
 def apply_ansatz(params: AnsatzParams, space: BosonFockSpace | None = None) -> np.ndarray:

@@ -2,10 +2,14 @@
 
 Implements the short-time leakage lemma, long-time truncation schedules,
 Hamiltonian cutoff selection for one or many modes (including
-time-dependent coupling profiles), the Lambert-W threshold lemma, and a
-dense numerical leakage oracle.  All bound arithmetic is carried out in
-log space; linear values are exposed alongside (they underflow to zero
-below about 1e-300).
+time-dependent coupling profiles), the Lambert-W threshold lemma, and
+numerical leakage and truncation-defect oracles.  All bound arithmetic
+is carried out in log space; linear values are exposed alongside (they
+underflow to zero below about 1e-300).
+
+A plan costs O(1) to build whatever its step count: the cutoffs are a
+``range`` and the step durations are computed, vectorized, on first
+read.
 
 Conventions: the mode-coupling part H_w satisfies ‖H_w Π_[0,Λ]‖ ≤
 χ√(Λ+1) (growth exponent r fixed at ½), and cutoff increments obey
@@ -16,7 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import count
+from functools import cached_property
+from itertools import accumulate, count
 
 import numpy as np
 
@@ -51,8 +56,9 @@ class TruncationInput:
     profile: tuple | None = None  # ((duration, chi), ...) piecewise constant
 
     def __post_init__(self):
-        if self.lambda0 < 0:
-            raise ParameterError("lambda0 must be >= 0")
+        if self.lambda0 < 1:
+            raise ParameterError(
+                "lambda0 must be >= 1: the step rule Δt = 1/(χ√Λ) needs Λ >= 1")
         if self.chi <= 0 and self.profile is None:
             raise ParameterError("chi must be positive")
         if self.t < 0:
@@ -69,14 +75,26 @@ class TruncationInput:
 
 @dataclass(frozen=True)
 class TruncationPlan:
+    """Schedule of s steps raising the cutoff by ΔΛ each, Λ_j = Λ0 + jΔΛ.
+
+    ``cutoffs`` is the range Λ_1..Λ_s.  ``durations`` is a read-only
+    float64 array of the s step lengths, computed from ``profile`` on
+    first read.
+    """
+
     delta_lambda: int
     steps: int
-    durations: tuple[float, ...]
-    cutoffs: tuple[int, ...]  # Λ_1..Λ_s
+    cutoffs: range  # Λ_1..Λ_s
     final_cutoff: int
     lambda0: int
     total_time: float
+    profile: tuple  # ((duration, chi), ...)
     budget: dict = field(default_factory=dict)
+
+    @cached_property
+    def durations(self) -> np.ndarray:
+        return _durations_from_profile(self.profile, self.lambda0, self.delta_lambda,
+                                       self.steps, self.total_time)
 
     def recompute_total_bound_log(self) -> dict:
         """Independent re-evaluation of every slot's claimed total bound."""
@@ -113,42 +131,48 @@ def _chi_integral(profile) -> float:
 
 
 def _durations_from_profile(profile, lambda0: int, d_lambda: int, s: int,
-                            total_time: float) -> list[float]:
+                            total_time: float) -> np.ndarray:
     """Split [0, total_time] so that ∫χ over step j equals 1/√Λ_{j−1}.
 
-    The last step is the remainder up to total_time (never longer than
-    its own slot's cap).
+    Returns a read-only float64 array of the s step lengths.  Step j ends
+    at the earliest time τ_j whose cumulative integral reaches
+    Σ_{i<j} 1/√Λ_i, capped at total_time; a step inside a χ = 0 stretch
+    ends with that stretch.  The last step absorbs the remainder, so the
+    sequential sum of the durations is exactly total_time.
     """
     # cumulative integral breakpoints
-    times = [0.0]
-    integ = [0.0]
-    for d, c in profile:
-        times.append(times[-1] + d)
-        integ.append(integ[-1] + d * c)
+    times = list(accumulate((d for d, _ in profile), initial=0.0))
+    integ = list(accumulate((d * c for d, c in profile), initial=0.0))
 
-    def invert(target):
-        """Earliest time τ with cumulative integral ≥ target."""
-        if target >= integ[-1]:
-            return times[-1]
-        k = 0
-        while integ[k + 1] < target:
-            k += 1
-        d, c = times[k + 1] - times[k], (integ[k + 1] - integ[k]) / (times[k + 1] - times[k]) if times[k + 1] > times[k] else 0.0
+    # targets Σ_{i<j} 1/√Λ_i, increasing in j; turned into end times in place
+    ends = np.arange(s, dtype=float)
+    ends *= d_lambda
+    ends += lambda0
+    np.sqrt(ends, out=ends)
+    np.divide(1.0, ends, out=ends)
+    np.cumsum(ends, out=ends)
+
+    # segment k holds the targets in (integ[k], integ[k+1]]; those at or past
+    # the whole integral end at the profile's end
+    past = np.searchsorted(ends, integ[-1])
+    edges = np.minimum(np.searchsorted(ends, integ, side="right"), past)
+    for k in range(len(profile)):
+        seg = ends[edges[k]:edges[k + 1]]
+        span = times[k + 1] - times[k]
+        c = (integ[k + 1] - integ[k]) / span if span > 0 else 0.0
         if c == 0.0:
-            return times[k + 1]
-        return times[k] + (target - integ[k]) / c
+            seg[:] = times[k + 1]
+        else:
+            seg -= integ[k]
+            seg /= c
+            seg += times[k]
+    ends[past:] = times[-1]
+    np.minimum(ends, total_time, out=ends)
 
-    durations = []
-    tau = 0.0
-    acc = 0.0
-    for j in range(1, s + 1):
-        lam_prev = lambda0 + (j - 1) * d_lambda
-        acc += 1.0 / math.sqrt(lam_prev)
-        nxt = min(invert(acc), total_time)
-        durations.append(nxt - tau)
-        tau = nxt
+    durations = np.diff(ends, prepend=0.0)
     # force exact total-time accounting on the final step
-    durations[-1] += total_time - sum(durations)
+    durations[-1] += total_time - np.cumsum(durations, out=ends)[-1]
+    durations.flags.writeable = False
     return durations
 
 
@@ -173,16 +197,15 @@ def _build_plan(inp: TruncationInput, eps_slots: dict[str, tuple[float, float]])
     worst = max(chosen, key=lambda n: chosen[n]["steps"] * chosen[n]["delta_lambda"])
     d_lambda = chosen[worst]["delta_lambda"]
     s = chosen[worst]["steps"]
-    durations = _durations_from_profile(profile, inp.lambda0, d_lambda, s, inp.t)
-    cutoffs = tuple(inp.lambda0 + j * d_lambda for j in range(1, s + 1))
+    final = inp.lambda0 + s * d_lambda
     return TruncationPlan(
         delta_lambda=d_lambda,
         steps=s,
-        durations=tuple(durations),
-        cutoffs=cutoffs,
-        final_cutoff=cutoffs[-1],
+        cutoffs=range(inp.lambda0 + d_lambda, final + 1, d_lambda),
+        final_cutoff=final,
         lambda0=inp.lambda0,
         total_time=inp.t,
+        profile=profile,
         budget=chosen,
     )
 
@@ -326,21 +349,23 @@ def truncation_defect(H_full, occupations, lambda0: int, lambda_tilde: int,
                       t: float) -> float:
     """‖(e^{−itH} − e^{−itH̃}) Π_[0,Λ0]‖ with H̃ = Π_[0,Λ̃] H Π_[0,Λ̃].
 
-    Applies both propagators to the Π_[0,Λ0] columns with a Krylov
-    matrix exponential, so only the (few) initial-sector columns are
-    ever propagated.
+    ``H_full`` may be a dense array or any ``scipy.sparse`` matrix; it is
+    converted once to CSC and never densified.  Both propagators act on
+    the Π_[0,Λ0] columns only, through a Krylov matrix exponential; e^{−itH̃}
+    is the identity outside Π_[0,Λ̃], so it is propagated on the inside
+    block alone.
     """
     from scipy.sparse import csc_matrix
     from scipy.sparse.linalg import expm_multiply
 
     occ = np.asarray(occupations)
-    H = np.asarray(H_full, dtype=complex)
-    inside = occ <= lambda_tilde
-    Ht = np.where(np.outer(inside, inside), H, 0.0)
+    H = csc_matrix(H_full)
+    inside = np.flatnonzero(occ <= lambda_tilde)
     cols = np.flatnonzero(occ <= lambda0)
     B = np.zeros((H.shape[0], len(cols)), dtype=complex)
-    for k, c in enumerate(cols):
-        B[c, k] = 1.0
-    full = expm_multiply(csc_matrix(-1j * t * H), B)
-    trunc = expm_multiply(csc_matrix(-1j * t * Ht), B)
-    return float(np.linalg.norm(full - trunc, 2))
+    B[cols, np.arange(len(cols))] = 1.0
+    full = expm_multiply(-1j * t * H, B)
+    trunc = B.copy()
+    trunc[inside] = expm_multiply(-1j * t * H[inside][:, inside], B[inside])
+    full -= trunc
+    return float(np.linalg.norm(full, 2))

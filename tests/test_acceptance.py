@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 from scipy.linalg import expm
 
 from bosonsim import (
@@ -253,17 +254,35 @@ def test_dense_leakage_within_single_step_bound():
 # ---------------------------------------------------------------------------
 
 
+def oscillator(dim, g):
+    """Sparse H = n̂ + g(b + b†) on dim levels; its H_w has χ = 2g."""
+    hop = g * np.sqrt(np.arange(1.0, dim))
+    return scipy.sparse.diags([hop, np.arange(dim, dtype=float), hop], [-1, 0, 1],
+                              format="csc")
+
+
 def test_calculated_cutoff_controls_the_dense_defect():
     inp = trunc_bounds.TruncationInput(lambda0=1, chi=2.0, t=1.0, eps=1e-2)
     lam, plan = trunc_bounds.hamiltonian_cutoff(inp)
     assert lam == 3721
-    dim = lam + 1
-    nmat = np.diag(np.arange(dim, dtype=float))
-    b = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
-    H = nmat + (b + b.T)
+    # padded above Λ̃, so H̃ differs from H and the defect is not 0 by construction
+    dim = lam + 1 + 200
     defect = trunc_bounds.truncation_defect(
-        H, np.arange(dim), lambda0=1, lambda_tilde=lam, t=1.0)
+        oscillator(dim, 1.0), np.arange(dim), lambda0=1, lambda_tilde=lam, t=1.0)
     assert defect <= 1e-2
+
+    # empirical cutoff on a padded 200-level oscillator: the smallest Λ̃
+    # whose defect meets ε, which the bound must not undercut
+    H, occ = oscillator(200, 1.0), np.arange(200)
+    defects = {}
+    for lam_emp in itertools.count(1):
+        defects[lam_emp] = trunc_bounds.truncation_defect(H, occ, 1, lam_emp, 1.0)
+        if defects[lam_emp] <= 1e-2:
+            break
+    assert defects[lam_emp] <= 1e-2 < defects[lam_emp - 1]
+    assert lam >= lam_emp
+    # the bound's slack at this point: 3721 / 8 ≈ 465
+    assert lam_emp == 8
 
     # schedule self-consistency: recomputed budget equals the claimed one
     recheck = plan.recompute_total_bound_log()

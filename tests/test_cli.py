@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -384,6 +385,20 @@ def test_trunc_sweep_monotone_in_time(tmp_path):
     lams = [float(line.split(",")[-1]) for line in lines[1:]]
     assert lams[0] == 3721.0
     assert all(a <= b for a, b in zip(lams, lams[1:]))
+
+
+def test_trunc_rejects_lambda0_below_one(capsys):
+    assert run(["trunc", "--t", "1", "--lambda0", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "lambda0 must be >= 1" in err and "1/(χ√Λ)" in err
+
+
+def test_trunc_cost_does_not_grow_with_the_step_count(capsys):
+    start = time.perf_counter()
+    assert run(["trunc", "--t", "1000"]) == 0
+    assert time.perf_counter() - start < 1.0
+    row = capsys.readouterr().out.strip().splitlines()[-1].split(",")
+    assert row[4] == "60002000"  # s
 
 
 def test_blockenc_report(tmp_path):

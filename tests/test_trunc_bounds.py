@@ -1,7 +1,10 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from bosonsim.errors import ConditionViolation, DomainError, ParameterError
 from bosonsim.trunc_bounds import (
@@ -87,7 +90,7 @@ def test_constant_profile_reduces_to_constant_chi():
     lam_p, plan_p = time_dependent_cutoff(inp_p)
     assert lam_p == lam_c
     assert plan_p.steps == plan_c.steps
-    assert plan_p.durations == plan_c.durations
+    assert np.array_equal(plan_p.durations, plan_c.durations)
 
 
 def test_profile_cutoff_depends_on_coupling_integral_only():
@@ -149,3 +152,123 @@ def test_truncation_defect_small_case():
     # truncating aggressively is visible
     d_bad = truncation_defect(H, occ, lambda0=1, lambda_tilde=3, t=1.0)
     assert d_bad > d
+
+
+def test_lambda0_below_one_is_rejected():
+    # the step rule Δt = 1/(χ√Λ) divides by √Λ0
+    with pytest.raises(ParameterError, match=r"1/\(χ√Λ\)"):
+        TruncationInput(lambda0=0, chi=2.0, t=1.0, eps=1e-2)
+
+
+def loop_durations(profile, lambda0, d_lambda, s, total_time):
+    """Step durations one Python step at a time: the reference schedule."""
+    times, integ = [0.0], [0.0]
+    for d, c in profile:
+        times.append(times[-1] + d)
+        integ.append(integ[-1] + d * c)
+
+    def invert(target):
+        if target >= integ[-1]:
+            return times[-1]
+        k = 0
+        while integ[k + 1] < target:
+            k += 1
+        span = times[k + 1] - times[k]
+        c = (integ[k + 1] - integ[k]) / span if span > 0 else 0.0
+        if c == 0.0:
+            return times[k + 1]
+        return times[k] + (target - integ[k]) / c
+
+    durations, tau, acc = [], 0.0, 0.0
+    for j in range(1, s + 1):
+        acc += 1.0 / math.sqrt(lambda0 + (j - 1) * d_lambda)
+        nxt = min(invert(acc), total_time)
+        durations.append(nxt - tau)
+        tau = nxt
+    durations[-1] += total_time - sum(durations)
+    return durations
+
+
+def assert_matches_loop(inp, plan):
+    profile = inp.profile if inp.profile is not None else ((inp.t, inp.chi),)
+    ref = loop_durations(profile, inp.lambda0, plan.delta_lambda, plan.steps, inp.t)
+    assert plan.durations.dtype == np.float64
+    assert plan.durations.tobytes() == np.array(ref).tobytes()  # bit for bit
+    assert list(plan.cutoffs) == [inp.lambda0 + j * plan.delta_lambda
+                                  for j in range(1, plan.steps + 1)]
+    assert plan.cutoffs[-1] == plan.final_cutoff
+
+
+# (λ0, χ, t, ε, N); χt ≤ 50 keeps the reference loop below 40k steps per input
+SCHEDULE_GRID = [
+    (lam0, chi, t, eps, n)
+    for lam0, chi, t, eps, n in itertools.product(
+        (1, 2, 3, 7), (0.5, 2.0, 3.0), (0.01, 0.1, 1.0, 3.7, 10.0, 100.0),
+        (1e-2, 1e-4, 1e-8), (1, 10))
+    if chi * t <= 50
+]
+
+
+def test_durations_match_the_loop_bit_for_bit():
+    assert len(SCHEDULE_GRID) == 384
+    for lam0, chi, t, eps, n in SCHEDULE_GRID:
+        inp = TruncationInput(lam0, chi, t, eps, n_modes=n)
+        assert_matches_loop(inp, hamiltonian_cutoff(inp)[1])
+    # the benchmark's longest sweep point: 600,200 steps
+    inp = TruncationInput(1, 2.0, 100.0, 1e-2)
+    plan = hamiltonian_cutoff(inp)[1]
+    assert plan.steps == 600200
+    assert_matches_loop(inp, plan)
+
+
+@pytest.mark.parametrize("profile", [
+    ((0.5, 0.0), (0.5, 4.0)),
+    ((0.5, 4.0), (0.5, 0.0)),
+    ((0.3, 1.0), (0.0, 5.0), (0.2, 0.0), (0.5, 3.0)),
+    ((2.0, 1.0), (1.0, 0.0), (1.0, 3.0), (0.5, 0.0)),
+    ((0.1, 0.0), (0.2, 0.0), (0.7, 2.0)),
+])
+def test_profile_durations_match_the_loop(profile):
+    t = sum(d for d, _ in profile)
+    for lam0, eps in itertools.product((1, 2, 5), (1e-2, 1e-6)):
+        inp = TruncationInput(lam0, 0.0, t, eps, profile=profile)
+        assert_matches_loop(inp, time_dependent_cutoff(inp)[1])
+
+
+def test_plan_is_lazy_and_read_only():
+    _, plan = hamiltonian_cutoff(TruncationInput(1, 2.0, 1000.0, 1e-3))
+    assert plan.steps == 60002000
+    assert isinstance(plan.cutoffs, range) and len(plan.cutoffs) == plan.steps
+    assert plan.cutoffs[-1] == plan.final_cutoff == 3600120001
+    assert "durations" not in vars(plan)  # nothing computed until read
+    _, plan = hamiltonian_cutoff(TruncationInput(1, 2.0, 1.0, 1e-2))
+    with pytest.raises(ValueError):
+        plan.durations[0] = 0.0
+    assert plan.durations is plan.durations
+
+
+def padded_oscillator(dim, g):
+    hop = g * np.sqrt(np.arange(1.0, dim))
+    return scipy.sparse.diags([hop, np.arange(dim, dtype=float), hop], [-1, 0, 1])
+
+
+@pytest.mark.parametrize("lambda_tilde", [1, 3, 8, 20, 100, 198])
+def test_sparse_and_dense_defects_agree(lambda_tilde):
+    H = padded_oscillator(200, 0.8)
+    occ = np.arange(200)
+    dense = truncation_defect(H.toarray(), occ, 1, lambda_tilde, 0.9)
+    for fmt in ("csr", "csc", "dia"):
+        sparse = truncation_defect(H.asformat(fmt), occ, 1, lambda_tilde, 0.9)
+        assert abs(sparse - dense) <= 1e-14
+
+
+def test_truncation_defect_never_copies_a_dense_input():
+    H = padded_oscillator(2000, 1.0).toarray()
+    tracemalloc.start()
+    try:
+        d = truncation_defect(H, np.arange(2000), lambda0=1, lambda_tilde=40, t=0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d < 1e-10
+    assert peak < H.nbytes  # 30.5 MiB
