@@ -217,6 +217,8 @@ def cmd_lindblad(args):
 
 def cmd_pds(args):
     from . import ground_state
+    if args.max_k < 1:
+        raise ParameterError(f"--max-k {args.max_k} must be >= 1")
     gs = _parse_range(args.g)
     rows = []
     for g in gs:
@@ -294,6 +296,8 @@ def cmd_blockenc(args):
 def cmd_prep(args):
     from . import state_prep
     c = np.array([complex(v) for v in args.c.split(",")])
+    if not 0 < np.linalg.norm(c) < math.inf:
+        raise ParameterError("--c must be finite and not all zero")
     c = c / np.linalg.norm(c)
     plan = state_prep.plan_prep(c, args.scheme)
     targets = [np.eye(len(c))[k] for k in range(len(c))]
@@ -463,7 +467,6 @@ def build_parser():
         sp.add_argument("--out", default="-", help="output path (default stdout)")
         sp.add_argument("--selftest", action="store_true",
                         help="check the modules against their oracles and exit")
-        sp.add_argument("--seed", type=int, default=0)
         return sp
 
     sp = add("compile", cmd_compile, "compile a model to a Pauli-sum text file",
@@ -526,6 +529,7 @@ def build_parser():
     sp.add_argument("--scheme", choices=("A", "B"), default="A")
 
     sp = add("wegner", cmd_wegner, "diagonalizing flow trajectory", "flows")
+    sp.add_argument("--seed", type=int, default=0, help="seed of the random start matrix")
     sp.add_argument("--dim", type=int, default=6)
     sp.add_argument("--s-max", type=float, default=500.0)
 

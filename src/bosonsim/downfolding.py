@@ -119,16 +119,15 @@ def cluster_matrix(amplitudes, basis, space) -> np.ndarray:
 
 
 def solve_cc_amplitudes(H: np.ndarray, space: BosonFockSpace,
-                        basis: list[Excitation], tol: float = 1e-10,
-                        max_iter: int = 200, initial_guess=None):
+                        basis: list[Excitation], tol: float = 1e-10):
     """Solve Q e^{−T} H e^{T}|Φ⟩ = 0 for the amplitudes of the given basis.
 
     Returns (amplitudes, energy, residual_norm); energy is
-    ⟨Φ|e^{−T}He^{T}|Φ⟩.  Newton iteration starts from zero amplitudes
-    unless ``initial_guess`` is given, so it finds the solution
-    continuously connected to the reference.  ``tol`` is hybr's
-    ``xtol``, the relative change of the amplitudes between iterates at
-    which it stops; a residual norm above 1e-8 raises ConvergenceError.
+    ⟨Φ|e^{−T}He^{T}|Φ⟩.  Newton iteration starts from zero amplitudes,
+    so it finds the solution continuously connected to the reference.
+    ``tol`` is hybr's ``xtol``, the relative change of the amplitudes
+    between iterates at which it stops; a residual norm above 1e-8
+    raises ConvergenceError.
     """
     phi = space.reference()
     configs = []
@@ -145,9 +144,8 @@ def solve_cc_amplitudes(H: np.ndarray, space: BosonFockSpace,
         w = expm(-T) @ (H @ (expm(T) @ phi))
         return C @ w
 
-    x0 = np.zeros(len(basis)) if initial_guess is None else np.asarray(initial_guess, dtype=float)
-    sol = root(residual, x0, method="hybr",
-               options={"xtol": tol, "maxfev": max_iter * (len(basis) + 1)})
+    sol = root(residual, np.zeros(len(basis)), method="hybr",
+               options={"xtol": tol, "maxfev": 200 * (len(basis) + 1)})
     res_norm = float(np.linalg.norm(residual(sol.x)))
     if res_norm > 1e-8:
         raise ConvergenceError(
@@ -313,8 +311,7 @@ def decompose_state(psi: np.ndarray, space: BosonFockSpace | None = None) -> Ans
     return AnsatzParams(r1, r2, s1, s2, s3)
 
 
-def nested_optimize(H: np.ndarray, space: BosonFockSpace | None = None,
-                    tol: float = 1e-10, max_iter: int = 60):
+def nested_optimize(H: np.ndarray, space: BosonFockSpace | None = None):
     """Alternating macro/micro optimization of the five-rotation ansatz.
 
     Micro: simplex minimization of ⟨φ|H|φ⟩ over the mode-2 angles
@@ -340,7 +337,7 @@ def nested_optimize(H: np.ndarray, space: BosonFockSpace | None = None,
     e_prev = math.inf
     trace = []
     h_eff = None
-    for it in range(1, max_iter + 1):
+    for it in range(1, 61):  # at most 60 macro iterations
         # micro sweep over the s angles
         def micro(svec):
             return energy(AnsatzParams(params.r1, params.r2, *svec))
@@ -367,7 +364,7 @@ def nested_optimize(H: np.ndarray, space: BosonFockSpace | None = None,
         params = AnsatzParams(r1, r2, params.s1, params.s2, params.s3)
         e_now = energy(params)
         trace.append((it, abs(e_now - e_exact)))
-        if abs(e_now - e_prev) < tol:
+        if abs(e_now - e_prev) < 1e-10:  # converged
             break
         e_prev = e_now
     else:

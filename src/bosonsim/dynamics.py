@@ -19,17 +19,19 @@ import numpy as np
 from .errors import DimensionError, DomainError, ParameterError
 from .pauli import PauliTerm
 
+HERMITIAN_TOL = 1e-10  # relative to max(1, largest entry or coefficient)
+
 # ---------------------------------------------------------------------------
 # Exact and Trotterized propagation
 # ---------------------------------------------------------------------------
 
 
-def require_hermitian(H: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """H as a complex square array, Hermitian to tol·max(1, max|H_ij|)."""
+def require_hermitian(H: np.ndarray) -> np.ndarray:
+    """H as a complex square array, Hermitian to HERMITIAN_TOL·max(1, max|H_ij|)."""
     H = np.asarray(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise DimensionError("H must be square")
-    if np.max(np.abs(H - H.conj().T)) > tol * max(1.0, float(np.max(np.abs(H)))):
+    if np.max(np.abs(H - H.conj().T)) > HERMITIAN_TOL * max(1.0, float(np.max(np.abs(H)))):
         raise DomainError("H is not Hermitian within tolerance")
     return H
 
@@ -50,11 +52,11 @@ def evolve_exact(H: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
     return V @ (np.exp(-1.0j * w * t) * (V.conj().T @ psi0))
 
 
-def require_hermitian_terms(terms, tol: float = 1e-10) -> list[PauliTerm]:
-    """Pauli terms with real coefficients; Im c is allowed up to tol·max(1, max|c|)."""
+def require_hermitian_terms(terms) -> list[PauliTerm]:
+    """Pauli terms with real coefficients; Im c may reach HERMITIAN_TOL·max(1, max|c|)."""
     terms = list(terms)
     scale = max([1.0] + [abs(t.coefficient) for t in terms])
-    if any(abs(complex(t.coefficient).imag) > tol * scale for t in terms):
+    if any(abs(complex(t.coefficient).imag) > HERMITIAN_TOL * scale for t in terms):
         raise DomainError("Pauli terms are not Hermitian within tolerance")
     return [PauliTerm(t.letters, complex(t.coefficient).real) for t in terms]
 
@@ -150,46 +152,36 @@ class GateList:
     gates: tuple[Gate, ...] = ()
     phase: float = 0.0
 
-    def _single(self, gate: Gate) -> np.ndarray:
+    @staticmethod
+    def _single(gate: Gate) -> np.ndarray:
         if gate.name == "h":
-            u = _H
-        elif gate.name == "s":
-            u = _S
-        elif gate.name == "sdg":
-            u = _S.conj().T
-        elif gate.name == "x":
-            u = _X1
-        elif gate.name == "rz":
-            u = np.diag([np.exp(-0.5j * gate.param), np.exp(0.5j * gate.param)])
-        elif gate.name == "ry":
-            c, s = math.cos(gate.param / 2), math.sin(gate.param / 2)
-            u = np.array([[c, -s], [s, c]], dtype=complex)
-        else:
-            raise ParameterError(gate.name)
-        left = np.eye(2 ** gate.qubits[0])
-        right = np.eye(2 ** (self.n_qubits - gate.qubits[0] - 1))
-        return np.kron(np.kron(left, u), right)
-
-    def _cx(self, control: int, target: int) -> np.ndarray:
-        dim = 2**self.n_qubits
-        U = np.zeros((dim, dim), dtype=complex)
-        cbit = 1 << (self.n_qubits - 1 - control)
-        tbit = 1 << (self.n_qubits - 1 - target)
-        for col in range(dim):
-            row = col ^ tbit if col & cbit else col
-            U[row, col] = 1.0
-        return U
+            return _H
+        if gate.name == "s":
+            return _S
+        if gate.name == "sdg":
+            return _S.conj().T
+        if gate.name == "x":
+            return _X1
+        if gate.name == "rz":
+            return np.diag([np.exp(-0.5j * gate.param), np.exp(0.5j * gate.param)])
+        c, s = math.cos(gate.param / 2), math.sin(gate.param / 2)  # ry
+        return np.array([[c, -s], [s, c]], dtype=complex)
 
     def unitary(self) -> np.ndarray:
-        U = np.eye(2**self.n_qubits, dtype=complex) * np.exp(1.0j * self.phase)
+        """The dense unitary, each gate applied to the rows of the product so far."""
+        dim = 2**self.n_qubits
+        U = np.eye(dim, dtype=complex) * np.exp(1.0j * self.phase)
+        rows = np.arange(dim)
         for gate in self.gates:
             for q in gate.qubits:
                 if not 0 <= q < self.n_qubits:
                     raise ParameterError(f"qubit {q} outside circuit of width {self.n_qubits}")
-            if gate.name == "cx":
-                U = self._cx(*gate.qubits) @ U
-            else:
-                U = self._single(gate) @ U
+            if gate.name == "cx":  # rows with the control bit set swap across the target bit
+                c, t = (1 << (self.n_qubits - 1 - q) for q in gate.qubits)
+                U = U[np.where(rows & c, rows ^ t, rows)]
+            else:  # axis 1 of the reshape is qubit q's bit of the row index
+                q = gate.qubits[0]
+                U = (self._single(gate) @ U.reshape(2**q, 2, -1)).reshape(dim, dim)
         return U
 
     # -- OpenQASM-2.0 subset ---------------------------------------------

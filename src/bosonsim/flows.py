@@ -40,11 +40,11 @@ def _off_norm(H: np.ndarray):
 
 
 def wegner_flow(H0: np.ndarray, ds: float | None = None, s_max: float = 50.0,
-                sample_every: int = 10, tol_factor: float = 1e-6):
+                sample_every: int = 10):
     """DOP853 integration of dH/ds = [[diag H, H], H] until off-diagonal decay.
 
     A terminal event stops the flow where the off-diagonal Frobenius norm
-    falls to tol_factor·‖H0‖_F.  Returns the re-Hermitized FlowState at
+    falls to 1e-6·‖H0‖_F.  Returns the re-Hermitized FlowState at
     s = 0, at every s_k = k·sample_every·ds before that point (read from
     the dense output: ``ds`` only spaces the samples) and at the stop.
     A stalled flow (degenerate diagonal with surviving coupling) raises
@@ -60,7 +60,7 @@ def wegner_flow(H0: np.ndarray, ds: float | None = None, s_max: float = 50.0,
         ds = 0.01 / max(norm0 ** 2, 1e-12)
     if ds <= 0:
         raise ParameterError("ds must be positive")
-    tol = tol_factor * max(norm0, 1e-12)
+    tol = 1e-6 * max(norm0, 1e-12)
     off0 = float(_off_norm(H))
     if off0 <= tol:
         return [FlowState(0.0, H, off0, float(np.real(np.trace(H @ H))))]

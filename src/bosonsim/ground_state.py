@@ -18,6 +18,8 @@ def exact_diagonalize(H: np.ndarray):
 
 def moments(H: np.ndarray, phi: np.ndarray, max_power: int) -> np.ndarray:
     """⟨φ|H^n|φ⟩ for n = 0..max_power by iterated matrix-vector products."""
+    if max_power < 0:
+        raise ParameterError("max_power must be >= 0")
     phi = np.asarray(phi, dtype=complex)
     if abs(np.linalg.norm(phi) - 1.0) > 1e-8:
         raise ParameterError("phi must be normalized")
@@ -45,16 +47,16 @@ class PDSResult:
         return float(np.real(self.roots[0]))
 
 
-def pds(mom: np.ndarray, K: int, cond_limit: float = 1e12,
-        allow_degenerate: bool = False) -> PDSResult:
+def pds(mom: np.ndarray, K: int, *, allow_degenerate: bool = False) -> PDSResult:
     """Solve the degree-K moment polynomial P_K(ℰ) = ℰ^K + Σ X_i ℰ^{K−i}.
 
     The linear system M X = −Y uses M_ij = ⟨H^{2K−i−j}⟩ and
     Y_i = ⟨H^{2K−i}⟩; roots come from companion-matrix eigenvalues.
-    A numerically singular M (trial state spanning fewer than K
-    eigenvectors) is an error by default; with ``allow_degenerate`` the
-    minimal-norm least-squares solution is used instead, whose roots
-    contain the exactly supported eigenvalues plus spurious extras.
+    A numerically singular M (condition number above 1e12: the trial
+    state spans fewer than K eigenvectors) is an error by default; with
+    ``allow_degenerate`` the minimal-norm least-squares solution is used
+    instead, whose roots contain the exactly supported eigenvalues plus
+    spurious extras.
     """
     if K < 1:
         raise ParameterError("K must be >= 1")
@@ -68,7 +70,7 @@ def pds(mom: np.ndarray, K: int, cond_limit: float = 1e12,
         for j in range(1, K + 1):
             M[i - 1, j - 1] = mom[2 * K - i - j]
     condition = float(np.linalg.cond(M))
-    degenerate = not np.isfinite(condition) or condition > cond_limit
+    degenerate = not np.isfinite(condition) or condition > 1e12
     if degenerate and not allow_degenerate:
         raise DomainError(
             f"moment matrix is numerically singular (cond {condition:.3g}); "

@@ -25,7 +25,7 @@ from .encodings import (
     embed,
     fermion_ops_jw,
 )
-from .errors import ConditionViolation, ParameterError
+from .errors import ParameterError
 from .pauli import PauliSum
 from .trunc_bounds import verify_conditions
 
@@ -295,23 +295,17 @@ def hw_hr_split(model: EncodedHamiltonian, mode_index: int = 0):
     """
     occ = mode_occupations(model, mode_index)
     H = model.fock
-    diff = occ[:, None] - occ[None, :]
-    Hw = np.where(np.abs(diff) == 1, H, 0.0)
-    Hr = np.where(diff == 0, H, 0.0)
-    residual = np.max(np.abs(H - Hw - Hr))
-    if residual > 1e-10:
-        bad = np.unravel_index(np.argmax(np.abs(H - Hw - Hr)), H.shape)
-        raise ConditionViolation(
-            "Hamiltonian couples occupations differing by more than 1",
-            offending=(int(occ[bad[0]]), int(occ[bad[1]])),
-        )
+    Hr = np.where(occ[:, None] == occ[None, :], H, 0.0)
+    Hw = H - Hr
+    # raises ConditionViolation where H couples occupations differing by more than 1
+    fitted = verify_conditions(Hw, Hr, occ, int(occ.max()) - 1)["fitted_chi"]
     p = model.params
     if model.kind == "holstein":
         chi = 2.0 * p.g * p.omega
     elif model.kind == "spin_boson":
         chi = abs(p.couplings[mode_index] * p.omegas[mode_index])
     else:
-        chi = verify_conditions(Hw, Hr, occ, int(occ.max()) - 1)["fitted_chi"]
+        chi = fitted
     return Hw, Hr, chi, 0.5
 
 

@@ -21,28 +21,18 @@ from .errors import CapacityError, DimensionError, ParameterError
 PRUNE_TOL = 1e-12
 DENSE_LIMIT = 14
 
-_LETTERS = "IXYZ"
+_NOT_PAULI = str.maketrans("", "", "IXYZ")  # deletes the valid letters
 _X_BITS = str.maketrans("IXYZ", "0110")
 _Z_BITS = str.maketrans("IXYZ", "0011")
+_CODES = str.maketrans("IXYZ", "\x00\x02\x03\x01")  # one byte 2x + z per letter
+_LETTERS = bytes.maketrans(b"\x00\x01\x02\x03", b"IZXY")
 _I_POWERS = (1, 1j, -1, -1j)
 
-_SINGLE = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
 
-# Single-qubit Pauli group products: (a, b) -> (phase, c) with a·b = phase·c.
-_PROD = {}
-for _a in _LETTERS:
-    for _b in _LETTERS:
-        _m = _SINGLE[_a] @ _SINGLE[_b]
-        for _c in _LETTERS:
-            for _ph in (1, -1, 1j, -1j):
-                if np.allclose(_m, _ph * _SINGLE[_c]):
-                    _PROD[(_a, _b)] = (_ph, _c)
-del _a, _b, _c, _m, _ph
+def _require_letters(letters: str):
+    if letters.translate(_NOT_PAULI):
+        raise ParameterError(
+            f"invalid Pauli letters: {sorted(set(letters.translate(_NOT_PAULI)))}")
 
 
 @dataclass(frozen=True)
@@ -53,9 +43,7 @@ class PauliTerm:
     coefficient: complex
 
     def __post_init__(self):
-        bad = set(self.letters) - set(_LETTERS)
-        if bad:
-            raise ParameterError(f"invalid Pauli letters: {sorted(bad)}")
+        _require_letters(self.letters)
 
     @property
     def qubit_count(self) -> int:
@@ -88,15 +76,31 @@ class PauliTerm:
         src, phase = self.signed_permutation()
         return phase * psi[src]
 
-    def to_matrix(self, dense_limit: int = DENSE_LIMIT) -> np.ndarray:
-        if self.qubit_count > dense_limit:
+    def to_matrix(self) -> np.ndarray:
+        if self.qubit_count > DENSE_LIMIT:
             raise CapacityError(
-                f"{self.qubit_count} qubits exceeds dense limit {dense_limit}"
+                f"{self.qubit_count} qubits exceeds dense limit {DENSE_LIMIT}"
             )
         src, phase = self.signed_permutation()
         m = np.zeros((src.size, src.size), dtype=complex)
         m[np.arange(src.size), src] = phase
         return m
+
+
+def _product(ka: str, kb: str) -> tuple[complex, str]:
+    """(phase, kc) with a·b = phase·c for equal-length Pauli strings a, b.
+
+    Per qubit a letter is i^{xz}·X^x Z^z (Aaronson & Gottesman, PRA 70,
+    052328), so c's code 2x + z is the XOR of a's and b's, and
+    phase = i^{#Y_a + #Y_b − #Y_c}·(−1)^{|z_a ∧ x_b|}.
+    """
+    a = int.from_bytes(ka.translate(_CODES).encode(), "big")
+    b = int.from_bytes(kb.translate(_CODES).encode(), "big")
+    c = a ^ b
+    z = int.from_bytes(b"\x01" * len(ka), "big")  # the z bit of every letter
+    k = ((a & a >> 1 & z).bit_count() + (b & b >> 1 & z).bit_count()
+         - (c & c >> 1 & z).bit_count() + 2 * (a & b >> 1 & z).bit_count())
+    return _I_POWERS[k % 4], c.to_bytes(len(ka), "big").translate(_LETTERS).decode()
 
 
 def mul(a: PauliTerm, b: PauliTerm) -> PauliTerm:
@@ -105,13 +109,8 @@ def mul(a: PauliTerm, b: PauliTerm) -> PauliTerm:
         raise DimensionError(
             f"letter length mismatch: {len(a.letters)} vs {len(b.letters)}"
         )
-    phase = a.coefficient * b.coefficient
-    out = []
-    for la, lb in zip(a.letters, b.letters):
-        ph, lc = _PROD[(la, lb)]
-        phase *= ph
-        out.append(lc)
-    return PauliTerm("".join(out), phase)
+    phase, letters = _product(a.letters, b.letters)
+    return PauliTerm(letters, a.coefficient * b.coefficient * phase)
 
 
 class PauliSum:
@@ -137,6 +136,7 @@ class PauliSum:
                     f"term {letters!r} has {len(letters)} letters, expected {qubit_count}"
                 )
             acc[letters] = acc.get(letters, 0.0) + coeff
+        _require_letters("".join(acc))
         object.__setattr__(self, "_terms", {k: v for k, v in acc.items() if v != 0})
         object.__setattr__(self, "_n", qubit_count)
 
@@ -213,8 +213,8 @@ class PauliSum:
         acc: dict[str, complex] = {}
         for ka, va in self._terms.items():
             for kb, vb in other._terms.items():
-                t = mul(PauliTerm(ka, va), PauliTerm(kb, vb))
-                acc[t.letters] = acc.get(t.letters, 0.0) + t.coefficient
+                phase, kc = _product(ka, kb)
+                acc[kc] = acc.get(kc, 0.0) + va * vb * phase
         return PauliSum(acc, self._n)
 
     def tensor(self, other: "PauliSum") -> "PauliSum":
@@ -235,15 +235,15 @@ class PauliSum:
             {k: v for k, v in self._terms.items() if abs(v) > tol}, self._n
         )
 
-    def to_matrix(self, dense_limit: int = DENSE_LIMIT) -> np.ndarray:
-        if self._n > dense_limit:
+    def to_matrix(self) -> np.ndarray:
+        if self._n > DENSE_LIMIT:
             raise CapacityError(
-                f"{self._n} qubits exceeds dense limit {dense_limit}"
+                f"{self._n} qubits exceeds dense limit {DENSE_LIMIT}"
             )
         dim = 2 ** self._n
         out = np.zeros((dim, dim), dtype=complex)
         for k, v in self._terms.items():
-            out += PauliTerm(k, v).to_matrix(dense_limit)
+            out += PauliTerm(k, v).to_matrix()
         return out
 
     # -- serialization -----------------------------------------------------

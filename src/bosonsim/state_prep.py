@@ -62,7 +62,7 @@ def plan_prep(c, scheme: str = "A") -> PrepPlan:
     c = np.asarray(c, dtype=complex)
     if c.ndim != 1 or len(c) == 0:
         raise ParameterError("need a non-empty coefficient vector")
-    if abs(np.sum(np.abs(c) ** 2) - 1.0) > 1e-12:
+    if not abs(np.sum(np.abs(c) ** 2) - 1.0) <= 1e-12:  # NaN fails too
         raise ParameterError("coefficients must satisfy Σ|c_k|² = 1")
     if scheme not in ("A", "B"):
         raise ParameterError("scheme must be 'A' or 'B'")

@@ -59,18 +59,19 @@ class TruncationInput:
         if self.lambda0 < 1:
             raise ParameterError(
                 "lambda0 must be >= 1: the step rule Δt = 1/(χ√Λ) needs Λ >= 1")
-        if self.chi <= 0 and self.profile is None:
-            raise ParameterError("chi must be positive")
-        if self.t < 0:
-            raise ParameterError("t must be >= 0")
-        if self.eps <= 0:
-            raise ParameterError("eps must be positive")
+        # `not a <= x < b` form: NaN fails every comparison, so it is rejected
+        if not (math.isfinite(self.chi) and (self.chi > 0 or self.profile is not None)):
+            raise ParameterError("chi must be positive and finite")
+        if not 0 <= self.t < math.inf:
+            raise ParameterError("t must be finite and >= 0")
+        if not 0 < self.eps < math.inf:
+            raise ParameterError("eps must be positive and finite")
         if self.n_modes < 1:
             raise ParameterError("n_modes must be >= 1")
         if self.profile is not None:
             for dur, c in self.profile:
-                if dur < 0 or c < 0:
-                    raise ParameterError("profile entries must be non-negative")
+                if not (0 <= dur < math.inf and 0 <= c < math.inf):
+                    raise ParameterError("profile entries must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -97,12 +98,14 @@ class TruncationPlan:
                                        self.steps, self.total_time)
 
     def recompute_total_bound_log(self) -> dict:
-        """Independent re-evaluation of every slot's claimed total bound."""
-        out = {}
-        for name, slot in self.budget.items():
-            per = short_time_leakage_bound(self.delta_lambda).log_value
-            out[name] = math.log(slot["factor"]) + math.log(self.steps) + per
-        return out
+        """Every slot's total log bound, recomputed from its own ΔΛ and s.
+
+        log(factor·s) + ΔΛ·log(√2·e/√ΔΛ): the lemma is written out here,
+        not read from :func:`short_time_leakage_bound`.
+        """
+        return {name: math.log(slot["factor"]) + math.log(slot["steps"]) + slot["delta_lambda"]
+                * math.log(math.sqrt(2.0) * math.e / math.sqrt(slot["delta_lambda"]))
+                for name, slot in self.budget.items()}
 
 
 def _scan_increment(lambda0: int, chi_integral: float, eps_slot: float,
@@ -111,11 +114,12 @@ def _scan_increment(lambda0: int, chi_integral: float, eps_slot: float,
     log_eps = math.log(eps_slot)
     for d_lambda in count(MIN_DELTA_LAMBDA):
         b = short_time_leakage_bound(d_lambda)
-        s = math.ceil(
-            ((math.sqrt(lambda0) + chi_integral * d_lambda / 2.0) ** 2 - lambda0)
-            / d_lambda
-        )
-        s = max(1, s)
+        try:
+            s = max(1, math.ceil(
+                ((math.sqrt(lambda0) + chi_integral * d_lambda / 2.0) ** 2 - lambda0)
+                / d_lambda))
+        except OverflowError as exc:
+            raise ParameterError("the schedule's step count overflows a float") from exc
         if math.log(factor) + math.log(s) + b.log_value <= log_eps:
             return d_lambda, s, b
 
@@ -159,13 +163,12 @@ def _durations_from_profile(profile, lambda0: int, d_lambda: int, s: int,
     for k in range(len(profile)):
         seg = ends[edges[k]:edges[k + 1]]
         span = times[k + 1] - times[k]
-        c = (integ[k + 1] - integ[k]) / span if span > 0 else 0.0
-        if c == 0.0:
-            seg[:] = times[k + 1]
-        else:
+        if seg.size and span > 0:  # then ∫χ grows over segment k
             seg -= integ[k]
-            seg /= c
+            seg /= (integ[k + 1] - integ[k]) / span
             seg += times[k]
+        else:  # no target, or a duration below the float spacing of the time so far
+            seg[:] = times[k]
     ends[past:] = times[-1]
     np.minimum(ends, total_time, out=ends)
 

@@ -16,6 +16,7 @@ from bosonsim import (block_encoding, cli, downfolding, dynamics, encodings, flo
                       ground_state, models, open_systems, state_prep, trunc_bounds)
 from bosonsim.cli import _parse_range, run
 from bosonsim.dynamics import evolve_exact
+from bosonsim.errors import ParameterError
 from bosonsim.models import (BoseHubbardParams, build_bose_hubbard, embed_fock,
                              mode_matrices, walk_observables)
 from bosonsim.open_systems import LindbladSpec, build_liouvillian
@@ -108,8 +109,8 @@ def _scaled_creation(ops):
             "number": 2.25 * ops["number"]}
 
 
-# module -> (subcommand, owner, attribute, right -> wrong): one fault the
-# module's --selftest check must catch
+# module[-variant] -> (subcommand, owner, attribute, right -> wrong): a fault
+# the module's --selftest check must catch
 FAULTS = {
     "pauli": ("compile", PauliSum, "to_text",
               lambda right: lambda self: right(self.adjoint())),
@@ -128,6 +129,9 @@ FAULTS = {
                     right(dataclasses.replace(params, r2=0.0), space)),
     "trunc_bounds": ("trunc", trunc_bounds, "_durations_from_profile",
                      lambda right: lambda *a: [1.01 * d for d in right(*a)]),
+    "trunc_bounds-leakage": ("trunc", trunc_bounds, "short_time_leakage_bound",
+                             lambda right: lambda d: trunc_bounds.LeakageBound(
+                                 right(d).log_value + math.log(1e6), 1e6 * right(d).value)),
     "block_encoding": ("blockenc", block_encoding, "_sign_table",
                        lambda right: lambda *a: 0),
     "state_prep": ("prep", state_prep, "plan_prep",
@@ -138,9 +142,10 @@ FAULTS = {
 }
 
 
-@pytest.mark.parametrize("module", sorted(FAULTS))
-def test_selftest_catches_a_fault_in_its_module(module, monkeypatch, capsys):
-    command, owner, attr, wrong = FAULTS[module]
+@pytest.mark.parametrize("case", sorted(FAULTS))
+def test_selftest_catches_a_fault_in_its_module(case, monkeypatch, capsys):
+    command, owner, attr, wrong = FAULTS[case]
+    module = case.split("-")[0]
     right = getattr(owner, attr)
     # the fault holds wherever the function is bound, also where it was imported by name
     for ns in [owner] + [m for n, m in sys.modules.items() if n.startswith("bosonsim.")]:
@@ -341,6 +346,12 @@ def test_lindblad_columns_match_exact_state(tmp_path):
     ["lindblad", "--cutoff", "3", "--initial-level", "-1"],
     ["evolve", "--initial-basis-state", "99999"],
     ["evolve", "--initial-basis-state", "-3"],
+    ["pds", "--max-k", "0"],
+    ["pds", "--max-k", "-1"],
+    ["prep", "--c", "0,0"],
+    ["prep", "--c", "nan,1"],
+    ["prep", "--c", "1,inf"],
+    ["xy", "--seed", "1"],  # only wegner draws at random
 ])
 def test_out_of_range_time_or_index_exits_2(argv, sb_path, tmp_path):
     if argv[0] == "evolve":
@@ -391,6 +402,20 @@ def test_trunc_rejects_lambda0_below_one(capsys):
     assert run(["trunc", "--t", "1", "--lambda0", "0"]) == 2
     err = capsys.readouterr().err
     assert "lambda0 must be >= 1" in err and "1/(χ√Λ)" in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--eps", "nan"), ("--t", "nan"), ("--chi", "nan"),
+    ("--t", "inf"), ("--chi", "inf"), ("--t", "1e300"),
+])
+def test_trunc_non_finite_or_overflowing_input_exits_2(flag, value, capsys):
+    inputs = dict(lambda0=1, chi=2.0, t=1.0, eps=1e-3)
+    inputs[flag[2:]] = float(value)
+    if value != "1e300":  # rejected on construction, before a schedule scan could spin
+        with pytest.raises(ParameterError):
+            trunc_bounds.TruncationInput(**inputs)
+    assert run(["trunc", flag, value]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_trunc_cost_does_not_grow_with_the_step_count(capsys):

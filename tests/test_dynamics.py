@@ -169,6 +169,49 @@ def test_qasm_round_trip_preserves_unitary():
     assert np.max(np.abs(again.unitary() - gl.unitary())) < 1e-12
 
 
+def kron_chain_unitary(gl):
+    """The gate list's unitary as a product of full-width Kronecker chains."""
+    mats = {"h": np.array([[1, 1], [1, -1]]) / np.sqrt(2), "s": np.diag([1, 1j]),
+            "sdg": np.diag([1, -1j]), "x": np.array([[0, 1], [1, 0]])}
+    P0, P1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+
+    def chain(factors):  # qubit 0 is the leftmost factor
+        out = np.eye(1)
+        for q in range(gl.n_qubits):
+            out = np.kron(out, factors.get(q, np.eye(2)))
+        return out
+
+    U = np.exp(1j * gl.phase) * np.eye(2 ** gl.n_qubits)
+    for g in gl.gates:
+        if g.name == "cx":
+            c, t = g.qubits
+            G = chain({c: P0}) + chain({c: P1, t: mats["x"]})
+        elif g.name == "rz":
+            G = chain({g.qubits[0]: np.diag(np.exp([-0.5j * g.param, 0.5j * g.param]))})
+        elif g.name == "ry":
+            G = chain({g.qubits[0]: expm(-0.5j * g.param * np.array([[0, -1j], [1j, 0]]))})
+        else:
+            G = chain({g.qubits[0]: mats[g.name]})
+        U = G @ U
+    return U
+
+
+def test_gate_list_unitary_matches_kronecker_chains():
+    rng = np.random.default_rng(17)
+    names = ["h", "s", "sdg", "x", "rz", "ry", "cx"]
+    for _ in range(60):
+        n = int(rng.integers(1, 7))
+        gates = []
+        for name in rng.choice(names[:6] if n == 1 else names, size=rng.integers(0, 25)):
+            if name == "cx":
+                gates.append(Gate("cx", tuple(int(q) for q in rng.choice(n, 2, replace=False))))
+            else:
+                param = float(rng.uniform(-4, 4)) if name in ("rz", "ry") else None
+                gates.append(Gate(str(name), (int(rng.integers(n)),), param))
+        gl = GateList(n, tuple(gates), float(rng.uniform(-3, 3)))
+        assert np.max(np.abs(gl.unitary() - kron_chain_unitary(gl))) < 1e-13
+
+
 def test_gate_arity_checked():
     with pytest.raises(ParameterError):
         Gate("cx", (0,), None)

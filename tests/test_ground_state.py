@@ -27,6 +27,8 @@ def test_moments_against_direct_powers():
 def test_moments_require_normalized_state():
     with pytest.raises(ParameterError):
         moments(np.eye(2), np.array([2.0, 0.0]), 2)
+    with pytest.raises(ParameterError, match="max_power"):
+        moments(np.eye(2), np.array([1.0, 0.0]), -1)
 
 
 def test_pds_exact_when_trial_spans_k_eigenvectors():

@@ -36,6 +36,60 @@ def test_single_qubit_products_reproduce_matrix_algebra():
             assert np.allclose(t.to_matrix(), MATS[a] @ MATS[b])
 
 
+# the single-qubit Pauli group read off the 2×2 matrices: a·b = phase·c
+PRODUCT_TABLE = {
+    (a, b): next((ph, c) for c in "IXYZ" for ph in (1, -1, 1j, -1j)
+                 if np.allclose(MATS[a] @ MATS[b], ph * MATS[c]))
+    for a in "IXYZ" for b in "IXYZ"
+}
+
+
+def equal_length_strings(max_size):
+    return st.integers(0, max_size).flatmap(
+        lambda n: st.tuples(*[st.text(alphabet="IXYZ", min_size=n, max_size=n)] * 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=equal_length_strings(12))
+def test_mul_equals_the_letter_by_letter_table_fold(pair):
+    a, b = pair
+    phase, letters = 1.0, ""
+    for la, lb in zip(a, b):
+        ph, lc = PRODUCT_TABLE[la, lb]
+        phase, letters = phase * ph, letters + lc
+    t = mul(PauliTerm(a, 1.0), PauliTerm(b, 1.0))
+    assert (t.letters, t.coefficient) == (letters, phase)
+
+
+def pauli_sums(n):
+    coeffs = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+    return st.dictionaries(st.text(alphabet="IXYZ", min_size=n, max_size=n), coeffs,
+                           max_size=5).map(lambda terms: PauliSum(terms, n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(abc=st.integers(1, 4).flatmap(lambda n: st.tuples(*[pauli_sums(n)] * 3)))
+def test_sum_products_associate_reverse_under_adjoint_and_match_matrices(abc):
+    a, b, c = abc
+    ab = a * b
+    assert np.allclose(ab.to_matrix(), a.to_matrix() @ b.to_matrix(), rtol=0, atol=1e-12)
+    assert np.allclose((ab * c).to_matrix(), (a * (b * c)).to_matrix(), rtol=0, atol=1e-12)
+    assert np.allclose(ab.adjoint().to_matrix(), (b.adjoint() * a.adjoint()).to_matrix(),
+                       rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PauliSum({"AB": 1.0}, 2),
+    lambda: PauliSum({"XI": 1.0, "Xz": 2.0}, 2),
+    lambda: PauliSum.from_term("IQ"),
+    lambda: PauliSum.from_text("1.0 0.0 XY\n0.5 0.0 X-\n"),
+    lambda: PauliTerm("XB", 1.0),
+], ids=["mapping", "lower-case", "from_term", "from_text", "term"])
+def test_invalid_letters_are_rejected_on_construction(build):
+    with pytest.raises(ParameterError, match="invalid Pauli letters"):
+        build()
+
+
 def test_multi_qubit_product_folds_phases():
     t = mul(PauliTerm("XY", 1.0), PauliTerm("YX", 1.0))
     assert t.letters == "ZZ"

@@ -52,8 +52,9 @@ def test_scheme_b_never_worse_than_a():
 
 
 def test_normalization_required():
-    with pytest.raises(ParameterError):
-        plan_prep([1.0, 1.0], "A")
+    for c in ([1.0, 1.0], [0.0, 0.0], [math.nan, 1.0], [1.0, math.inf]):
+        with pytest.raises(ParameterError):
+            plan_prep(c, "A")
     with pytest.raises(ParameterError):
         plan_prep([0.6, 0.8], "C")
 

@@ -160,6 +160,23 @@ def test_lambda0_below_one_is_rejected():
         TruncationInput(lambda0=0, chi=2.0, t=1.0, eps=1e-2)
 
 
+@pytest.mark.parametrize("field", ["chi", "t", "eps"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_inputs_are_rejected_on_construction(field, value):
+    # a NaN ε would otherwise make the increment scan compare against log(NaN) forever
+    inputs = dict(lambda0=1, chi=2.0, t=1.0, eps=1e-2)
+    inputs[field] = value
+    with pytest.raises(ParameterError, match=f"{field} must be"):
+        TruncationInput(**inputs)
+    with pytest.raises(ParameterError, match="profile entries"):
+        TruncationInput(1, 0.0, 1.0, 1e-2, profile=((1.0, value),))
+
+
+def test_an_overflowing_schedule_is_a_parameter_error():
+    with pytest.raises(ParameterError, match="overflows"):
+        hamiltonian_cutoff(TruncationInput(lambda0=1, chi=2.0, t=1e300, eps=1e-3))
+
+
 def loop_durations(profile, lambda0, d_lambda, s, total_time):
     """Step durations one Python step at a time: the reference schedule."""
     times, integ = [0.0], [0.0]
@@ -227,6 +244,7 @@ def test_durations_match_the_loop_bit_for_bit():
     ((0.3, 1.0), (0.0, 5.0), (0.2, 0.0), (0.5, 3.0)),
     ((2.0, 1.0), (1.0, 0.0), (1.0, 3.0), (0.5, 0.0)),
     ((0.1, 0.0), (0.2, 0.0), (0.7, 2.0)),
+    ((1e20, 0.0), (10.0, 1.0)),  # 1e20 + 10 == 1e20: a segment of zero float length
 ])
 def test_profile_durations_match_the_loop(profile):
     t = sum(d for d, _ in profile)
