@@ -73,10 +73,18 @@ def _write(path, text):
             fh.write(text)
 
 
+def _finite(text):
+    """float(text), or ParameterError if it is NaN or infinite."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ParameterError(f"{text!r} is not a finite number")
+    return x
+
+
 def _load_model(path):
     with open(path) as fh:
         try:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_float=_finite, parse_constant=_finite)
         except json.JSONDecodeError as exc:
             raise BosonSimError(
                 f"malformed JSON at line {exc.lineno}, column {exc.colno}: "
@@ -111,14 +119,14 @@ def _parse_range(text):
     """'1..10' → ten integer-spaced floats; '0.5' → [0.5]; 'a,b,c' → list."""
     if ".." in text:
         lo, hi = text.split("..")
-        lo, hi = float(lo), float(hi)
+        lo, hi = _finite(lo), _finite(hi)
         span = hi - lo
         if not 0 <= span < math.inf or abs(span - round(span)) > 1e-9:
             raise ParameterError(f"range {text!r} must ascend in whole steps")
         return [lo + i for i in range(round(span) + 1)]
     if "," in text:
-        return [float(v) for v in text.split(",")]
-    return [float(text)]
+        return [_finite(v) for v in text.split(",")]
+    return [_finite(text)]
 
 
 def _index(i, size, flag):
@@ -159,7 +167,7 @@ def _first_order_circuit(model, dt):
 def cmd_evolve(args):
     model = _load_model(args.model)
     terms = dynamics.require_hermitian_terms(model.pauli.terms)
-    H = model.pauli_matrix()
+    H = model.pauli.to_matrix()
     dim = H.shape[0]
     psi0 = np.zeros(dim, dtype=complex)
     psi0[_index(args.initial_basis_state, dim, "--initial-basis-state")] = 1.0
@@ -225,7 +233,7 @@ def cmd_pds(args):
         params = models.HolsteinParams(n_sites=3, v=args.hop, omega=args.omega,
                                        g=g, Nb=1, boundary="periodic")
         model = models.build_holstein(params)
-        H = model.pauli_matrix()
+        H = model.pauli.to_matrix()
         w, _ = ground_state.exact_diagonalize(H)
         phi = ground_state.holstein_trial_state(model.layout)
         mom = ground_state.moments(H, phi, 2 * args.max_k - 1)
@@ -473,47 +481,48 @@ def build_parser():
              "pauli", "encodings", "models")
     sp.add_argument("--model", help="model JSON path")
     sp.add_argument("--circuits", help="also write a first-order step as QASM")
-    sp.add_argument("--dt", type=float, default=0.1)
+    sp.add_argument("--dt", type=_finite, default=0.1)
 
     sp = add("evolve", cmd_evolve, "Trotter vs exact evolution report", "dynamics")
     sp.add_argument("--model", help="model JSON path")
-    sp.add_argument("--t", type=float, default=1.0)
+    sp.add_argument("--t", type=_finite, default=1.0)
     sp.add_argument("--steps", type=int, default=64)
     sp.add_argument("--order", type=int, default=2)
     sp.add_argument("--initial-basis-state", type=int, default=0)
 
     sp = add("walk", cmd_walk, "two-boson walk pair correlations", "models")
     sp.add_argument("--sites", type=int, default=5)
-    sp.add_argument("--hop", type=float, default=1.0)
-    sp.add_argument("--U", type=float, default=1.0)
-    sp.add_argument("--V", type=float, default=0.0)
-    sp.add_argument("--t", type=float, default=1.0)
+    sp.add_argument("--hop", type=_finite, default=1.0)
+    sp.add_argument("--U", type=_finite, default=1.0)
+    sp.add_argument("--V", type=_finite, default=0.0)
+    sp.add_argument("--t", type=_finite, default=1.0)
 
     sp = add("lindblad", cmd_lindblad, "single-mode open-system time series", "open_systems")
     sp.add_argument("--cutoff", type=int, default=3)
-    sp.add_argument("--omega", type=float, default=1.0)
-    sp.add_argument("--gamma-dephasing", type=float, default=0.0)
-    sp.add_argument("--gamma-heating", type=float, default=0.0)
-    sp.add_argument("--t", type=float, default=1.0)
-    sp.add_argument("--dt", type=float, default=1e-3)
+    sp.add_argument("--omega", type=_finite, default=1.0)
+    sp.add_argument("--gamma-dephasing", type=_finite, default=0.0)
+    sp.add_argument("--gamma-heating", type=_finite, default=0.0)
+    sp.add_argument("--t", type=_finite, default=1.0)
+    sp.add_argument("--dt", type=_finite, default=1e-3)
     sp.add_argument("--initial-level", type=int, default=1)
 
     sp = add("pds", cmd_pds, "moment-method sweep on the 3-site Holstein model",
              "ground_state")
     sp.add_argument("--g", default="0,0.5,1.0,1.5,2.0")
-    sp.add_argument("--hop", type=float, default=1.0)
-    sp.add_argument("--omega", type=float, default=1.0)
+    sp.add_argument("--hop", type=_finite, default=1.0)
+    sp.add_argument("--omega", type=_finite, default=1.0)
     sp.add_argument("--max-k", type=int, default=5)
 
     sp = add("downfold", cmd_downfold, "nested ansatz optimization report", "downfolding")
-    sp.add_argument("--hop", type=float, default=1.0)
-    sp.add_argument("--U", type=float, default=0.5)
-    sp.add_argument("--V", type=float, default=1.0)
+    sp.add_argument("--hop", type=_finite, default=1.0)
+    sp.add_argument("--U", type=_finite, default=0.5)
+    sp.add_argument("--V", type=_finite, default=1.0)
     sp.add_argument("--mu", default="-1,0,1")
     sp.add_argument("--csv", help="also write per-iteration error CSV")
 
     sp = add("trunc", cmd_trunc, "truncation-cutoff calculator sweep", "trunc_bounds")
     sp.add_argument("--lambda0", type=int, default=1)
+    # --chi and --eps stay plain floats: TruncationInput rejects non-finite values
     sp.add_argument("--chi", type=float, default=2.0)
     sp.add_argument("--t", default="1..10")
     sp.add_argument("--eps", type=float, default=1e-3)
@@ -531,13 +540,13 @@ def build_parser():
     sp = add("wegner", cmd_wegner, "diagonalizing flow trajectory", "flows")
     sp.add_argument("--seed", type=int, default=0, help="seed of the random start matrix")
     sp.add_argument("--dim", type=int, default=6)
-    sp.add_argument("--s-max", type=float, default=500.0)
+    sp.add_argument("--s-max", type=_finite, default=500.0)
 
     sp = add("xy", cmd_xy, "XY-chain single-particle spectrum", "flows")
     sp.add_argument("--n", type=int, default=6)
-    sp.add_argument("--j", type=float, default=1.0)
-    sp.add_argument("--gamma", type=float, default=0.5)
-    sp.add_argument("--lam", type=float, default=1.0)
+    sp.add_argument("--j", type=_finite, default=1.0)
+    sp.add_argument("--gamma", type=_finite, default=0.5)
+    sp.add_argument("--lam", type=_finite, default=1.0)
 
     return p
 

@@ -98,15 +98,11 @@ class Excitation:
         return all(a in active_modes for a in self.targets)
 
 
-def excitation_basis(space: BosonFockSpace, max_rank: int | None = None,
-                     modes=None) -> list[Excitation]:
-    """All target-mode multisets of ranks 1..max_rank out of mode 0."""
-    if modes is None:
-        modes = range(1, space.M)
-    ranks = range(1, (max_rank or space.N) + 1)
+def excitation_basis(space: BosonFockSpace, max_rank: int | None = None) -> list[Excitation]:
+    """All multisets of modes 1..M−1 of ranks 1..max_rank, excited out of mode 0."""
     out = []
-    for k in ranks:
-        for targets in combinations_with_replacement(modes, k):
+    for k in range(1, (max_rank or space.N) + 1):
+        for targets in combinations_with_replacement(range(1, space.M), k):
             out.append(Excitation(tuple(targets)))
     return out
 
@@ -118,16 +114,15 @@ def cluster_matrix(amplitudes, basis, space) -> np.ndarray:
     return T
 
 
-def solve_cc_amplitudes(H: np.ndarray, space: BosonFockSpace,
-                        basis: list[Excitation], tol: float = 1e-10):
+def solve_cc_amplitudes(H: np.ndarray, space: BosonFockSpace, basis: list[Excitation]):
     """Solve Q e^{−T} H e^{T}|Φ⟩ = 0 for the amplitudes of the given basis.
 
     Returns (amplitudes, energy, residual_norm); energy is
     ⟨Φ|e^{−T}He^{T}|Φ⟩.  Newton iteration starts from zero amplitudes,
     so it finds the solution continuously connected to the reference.
-    ``tol`` is hybr's ``xtol``, the relative change of the amplitudes
-    between iterates at which it stops; a residual norm above 1e-8
-    raises ConvergenceError.
+    hybr stops when the relative change of the amplitudes between
+    iterates falls below 1e-10; a residual norm above 1e-8 raises
+    ConvergenceError.
     """
     phi = space.reference()
     configs = []
@@ -145,7 +140,7 @@ def solve_cc_amplitudes(H: np.ndarray, space: BosonFockSpace,
         return C @ w
 
     sol = root(residual, np.zeros(len(basis)), method="hybr",
-               options={"xtol": tol, "maxfev": 200 * (len(basis) + 1)})
+               options={"xtol": 1e-10, "maxfev": 200 * (len(basis) + 1)})
     res_norm = float(np.linalg.norm(residual(sol.x)))
     if res_norm > 1e-8:
         raise ConvergenceError(
@@ -230,20 +225,10 @@ class AnsatzParams:
         return [self.r1, self.r2, self.s1, self.s2, self.s3]
 
 
-def duccsd_generators(space: BosonFockSpace) -> tuple:
-    """Ordered anti-Hermitian generators (application order r1,r2,s1,s2,s3).
-
-    Built once per space and cached on it, so repeated ansatz evaluations
-    share the same read-only matrices.
-    """
-    return space.duccsd_generators
-
-
-def apply_ansatz(params: AnsatzParams, space: BosonFockSpace | None = None) -> np.ndarray:
+def apply_ansatz(params: AnsatzParams, space: BosonFockSpace) -> np.ndarray:
     """|φ⟩ = e^{s3σ}e^{s2σ}e^{s1σ}e^{r2σ}e^{r1σ}|200⟩."""
-    space = space or BosonFockSpace(3, 2)
     psi = space.reference()
-    for (_, G), angle in zip(duccsd_generators(space), params.as_list()):
+    for (_, G), angle in zip(space.duccsd_generators, params.as_list()):
         psi = expm(angle * G) @ psi
     return psi
 
@@ -257,15 +242,16 @@ def _wrap_angle(theta: float) -> float:
     return theta
 
 
-def _spin1_elimination_angle(d_low, d_mid, d_high, weight=math.sqrt(2.0)):
+def _spin1_elimination_angle(d_low, d_mid, d_high):
     """Angle θ zeroing the middle amplitude of a three-level ladder rotation.
 
-    Solves cos(2θ)·d_mid = (weight/2)·sin(2θ)·(d_low − d_high) via the
+    Solves cos(2θ)·d_mid = (√2/2)·sin(2θ)·(d_low − d_high) via the
     quadratic in tan θ; of the two real roots, the one of smaller
     magnitude is returned.
     """
     if abs(d_mid) < 1e-14:
         return 0.0
+    weight = math.sqrt(2.0)  # both steps of the two-boson ladder b†_m b_0 have element √2
     diff = d_low - d_high
     disc = math.sqrt(weight * weight * diff * diff + 4.0 * d_mid * d_mid)
     roots = [
@@ -275,19 +261,18 @@ def _spin1_elimination_angle(d_low, d_mid, d_high, weight=math.sqrt(2.0)):
     return min(roots, key=abs)
 
 
-def decompose_state(psi: np.ndarray, space: BosonFockSpace | None = None) -> AnsatzParams:
+def decompose_state(psi: np.ndarray, space: BosonFockSpace) -> AnsatzParams:
     """Reverse flow: peel off s3, s2, s1, r2, r1 to recover ansatz angles.
 
     Requires a real, normalized 6-dimensional state; the returned angles
     satisfy apply_ansatz(params) = ±ψ.
     """
-    space = space or BosonFockSpace(3, 2)
     psi = np.asarray(psi, dtype=float)
     if psi.shape != (space.dim,):
         raise DimensionError("expected a state on the 3-level, 2-boson space")
     if abs(np.linalg.norm(psi) - 1.0) > 1e-8:
         raise ParameterError("state must be normalized")
-    gens = dict(duccsd_generators(space))
+    gens = dict(space.duccsd_generators)
     idx = space.index
     i200, i110, i020 = idx[(2, 0, 0)], idx[(1, 1, 0)], idx[(0, 2, 0)]
     i101, i011, i002 = idx[(1, 0, 1)], idx[(0, 1, 1)], idx[(0, 0, 2)]
@@ -311,7 +296,7 @@ def decompose_state(psi: np.ndarray, space: BosonFockSpace | None = None) -> Ans
     return AnsatzParams(r1, r2, s1, s2, s3)
 
 
-def nested_optimize(H: np.ndarray, space: BosonFockSpace | None = None):
+def nested_optimize(H: np.ndarray, space: BosonFockSpace):
     """Alternating macro/micro optimization of the five-rotation ansatz.
 
     Micro: simplex minimization of ⟨φ|H|φ⟩ over the mode-2 angles
@@ -323,8 +308,7 @@ def nested_optimize(H: np.ndarray, space: BosonFockSpace | None = None):
     Returns {"energy", "params", "H_eff", "trace"}; trace entries are
     (iteration, |E − E_exact|).
     """
-    space = space or BosonFockSpace(3, 2)
-    gens = duccsd_generators(space)
+    gens = space.duccsd_generators
     idx = space.index
     active = [idx[(2, 0, 0)], idx[(1, 1, 0)], idx[(0, 2, 0)]]
     e_exact = float(np.linalg.eigvalsh(H)[0])

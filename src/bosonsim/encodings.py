@@ -180,32 +180,24 @@ class RegisterLayout:
     def fock_dims(self) -> tuple[int, ...]:
         return tuple(r.fock_dim for r in self.registers)
 
-    def to_descriptor(self) -> list[dict]:
-        return [
-            {"kind": r.kind, "encoding": r.encoding, "cutoff": r.cutoff,
-             "offset": r.offset, "width": r.width}
-            for r in self.registers
-        ]
-
     def fock_space(self) -> "FockSpace":
         """Tensor Fock basis of the registers, fermion registers marked."""
         fermions = [k for k, r in enumerate(self.registers) if r.kind == "fermion"]
         return FockSpace.tensor(self.fock_dims, fermions)
 
-    def isometry(self) -> np.ndarray:
-        """Map Fock tensor basis into the qubit space (columns orthonormal).
+    def encoded_rows(self) -> np.ndarray:
+        """Qubit basis index of each state of :meth:`fock_space` (first register slowest).
 
-        Column index runs over the tensor product of per-register Fock
-        dimensions (first register slowest); rows over the 2^n qubit basis.
+        The identification V maps Fock state k to qubit state ``rows[k]``, a
+        0/1 column selection, so V†MV is M restricted to these rows and columns.
         """
-        space = self.fock_space()
-        V = np.zeros((2**self.total_qubits, space.dim), dtype=complex)
-        for col, occs in enumerate(space.basis):
+        rows = []
+        for occs in self.fock_space().basis:
             row = 0
             for reg, occ in zip(self.registers, occs):
                 row = (row << reg.width) | reg.basis_index(occ)
-            V[row, col] = 1.0
-        return V
+            rows.append(row)
+        return np.array(rows, dtype=np.int64)
 
 
 def embed(local_op: PauliSum, layout: RegisterLayout, register_id: int) -> PauliSum:
@@ -321,9 +313,6 @@ class NormalModeDecomposition:
     frequencies: np.ndarray  # ω_j >= 0
     unitary: np.ndarray  # columns are normal-mode vectors
     convention: str = "mass-scaled coordinates q_j = sqrt(M_j) Q_j, hbar = 1"
-
-    def reconstruct(self) -> np.ndarray:
-        return self.unitary @ np.diag(self.frequencies**2) @ self.unitary.conj().T
 
 
 def normal_modes(V: np.ndarray, masses) -> NormalModeDecomposition:

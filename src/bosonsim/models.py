@@ -101,13 +101,10 @@ class EncodedHamiltonian:
                  "holstein": holstein_fock}[self.kind]
         return build(self.layout.fock_space(), self.params).astype(complex)
 
-    def pauli_matrix(self) -> np.ndarray:
-        return self.pauli.to_matrix()
-
     def identification_defect(self) -> float:
         """Max deviation between the two forms on the encoded subspace."""
-        V = self.layout.isometry()
-        return float(np.max(np.abs(V.conj().T @ self.pauli_matrix() @ V - self.fock)))
+        rows = self.layout.encoded_rows()
+        return float(np.max(np.abs(self.pauli.to_matrix()[np.ix_(rows, rows)] - self.fock)))
 
 
 # ---------------------------------------------------------------------------

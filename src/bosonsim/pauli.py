@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -122,20 +122,16 @@ class PauliSum:
 
     __slots__ = ("_terms", "_n")
 
-    def __init__(self, terms: Mapping[str, complex] | Iterable[PauliTerm], qubit_count: int):
+    def __init__(self, terms: Mapping[str, complex], qubit_count: int):
         if qubit_count < 0:
             raise ParameterError("qubit_count must be non-negative")
         acc: dict[str, complex] = {}
-        if isinstance(terms, Mapping):
-            items = ((k, complex(v)) for k, v in terms.items())
-        else:
-            items = ((t.letters, complex(t.coefficient)) for t in terms)
-        for letters, coeff in items:
+        for letters, coeff in terms.items():
             if len(letters) != qubit_count:
                 raise DimensionError(
                     f"term {letters!r} has {len(letters)} letters, expected {qubit_count}"
                 )
-            acc[letters] = acc.get(letters, 0.0) + coeff
+            acc[letters] = acc.get(letters, 0.0) + complex(coeff)
         _require_letters("".join(acc))
         object.__setattr__(self, "_terms", {k: v for k, v in acc.items() if v != 0})
         object.__setattr__(self, "_n", qubit_count)
@@ -146,8 +142,8 @@ class PauliSum:
         return PauliSum({}, qubit_count)
 
     @staticmethod
-    def identity(qubit_count: int, coeff: complex = 1.0) -> "PauliSum":
-        return PauliSum({"I" * qubit_count: coeff}, qubit_count)
+    def identity(qubit_count: int) -> "PauliSum":
+        return PauliSum({"I" * qubit_count: 1.0}, qubit_count)
 
     @staticmethod
     def from_term(letters: str, coeff: complex = 1.0) -> "PauliSum":

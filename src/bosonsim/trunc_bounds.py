@@ -25,6 +25,7 @@ from itertools import accumulate, count
 
 import numpy as np
 
+from .dynamics import expm_hermitian
 from .errors import ConditionViolation, DomainError, ParameterError
 
 MIN_DELTA_LAMBDA = 60  # ⌈8e²⌉ — smallest increment the lemma admits
@@ -68,6 +69,12 @@ class TruncationInput:
             raise ParameterError("eps must be positive and finite")
         if self.n_modes < 1:
             raise ParameterError("n_modes must be >= 1")
+        try:
+            per_mode = self.eps / self.n_modes
+        except OverflowError:  # an int n_modes too large for a float
+            per_mode = 0.0
+        if not 0 < per_mode < math.inf:
+            raise ParameterError("eps / n_modes must be a positive finite float")
         if self.profile is not None:
             for dur, c in self.profile:
                 if not (0 <= dur < math.inf and 0 <= c < math.inf):
@@ -246,33 +253,20 @@ def time_dependent_cutoff(inp: TruncationInput) -> tuple[int, TruncationPlan]:
 
 
 def lambert_w_threshold(a: float, b: float, eps: float) -> float:
-    """Root of f(y) = a(b/√y)^y = ε on (b², ∞), bisection in log space.
+    """Root of f(y) = a(b/√y)^y = ε on (b², ∞), in closed form.
 
-    f(b²) = a, f decreasing on the domain; requires 0 < ε < a.
+    f(b²) = a, f decreasing on the domain; requires 0 < ε < a.  With
+    y = b²s the equation reads s·log s = k, k = 2·log(a/ε)/b², so
+    log s = W₀(k) and y = b²·e^{W₀(k)} = b²·k/W₀(k).
     """
-    if a <= 0 or b <= 0:
+    from scipy.special import lambertw
+
+    if not (a > 0 and b > 0):  # NaN fails too
         raise ParameterError("need a > 0 and b > 0")
     if not 0 < eps < a:
         raise DomainError("no root in (b², ∞): need 0 < ε < f(b²) = a")
-
-    log_a, log_b, log_eps = math.log(a), math.log(b), math.log(eps)
-
-    def log_f(y):
-        return log_a + y * (log_b - 0.5 * math.log(y))
-
-    lo = b * b
-    hi = max(2.0 * lo, lo + 1.0)
-    while log_f(hi) > log_eps:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if log_f(mid) > log_eps:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-10 * hi:
-            break
-    return 0.5 * (lo + hi)
+    k = 2.0 * (math.log(a) - math.log(eps)) / (b * b)  # a / ε may overflow
+    return b * b * math.exp(lambertw(k).real)
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +290,8 @@ def leakage_oracle(H_full: np.ndarray, occupations, lam: int, lam_prime: int,
 
     def value(max_occ):
         keep = occ <= max_occ
-        Hs = H[np.ix_(keep, keep)]
         occ_s = occ[keep]
-        w, V = np.linalg.eigh(Hs)
-        U = (V * np.exp(-1j * w * dt)) @ V.conj().T
+        U = expm_hermitian(H[np.ix_(keep, keep)], -1j * dt)
         block = U[np.ix_(occ_s > lam_prime, occ_s <= lam)]
         return float(np.linalg.norm(block, 2)) if block.size else 0.0
 
@@ -317,28 +309,15 @@ def verify_conditions(H_w: np.ndarray, H_r: np.ndarray, occupations,
     max_{Λ ≤ Λ_max} ‖H_w Π_[0,Λ]‖ / √(Λ+1).
     """
     occ = np.asarray(occupations)
-    diff = occ[:, None] - occ[None, :]
-    bad_w = (np.abs(diff) > 1) & (np.abs(np.asarray(H_w)) > 1e-12)
-    if np.any(bad_w):
-        i, j = np.argwhere(bad_w)[0]
-        raise ConditionViolation(
-            "H_w couples occupations differing by more than 1",
-            offending=(int(occ[i]), int(occ[j])),
-        )
-    bad_w1 = (np.abs(diff) == 0) & (np.abs(np.asarray(H_w)) > 1e-12)
-    if np.any(bad_w1):
-        i, j = np.argwhere(bad_w1)[0]
-        raise ConditionViolation(
-            "H_w has occupation-conserving entries",
-            offending=(int(occ[i]), int(occ[j])),
-        )
-    bad_r = (diff != 0) & (np.abs(np.asarray(H_r)) > 1e-12)
-    if np.any(bad_r):
-        i, j = np.argwhere(bad_r)[0]
-        raise ConditionViolation(
-            "H_r does not commute with the occupation projectors",
-            offending=(int(occ[i]), int(occ[j])),
-        )
+    step = np.abs(occ[:, None] - occ[None, :])
+    for M, bad_step, message in (
+            (H_w, step > 1, "H_w couples occupations differing by more than 1"),
+            (H_w, step == 0, "H_w has occupation-conserving entries"),
+            (H_r, step != 0, "H_r does not commute with the occupation projectors")):
+        hits = np.argwhere(bad_step & (np.abs(np.asarray(M)) > 1e-12))
+        if hits.size:
+            i, j = hits[0]
+            raise ConditionViolation(message, offending=(int(occ[i]), int(occ[j])))
     chi = 0.0
     Hw = np.asarray(H_w)
     for lam in range(min(lambda_max, int(occ.max()) - 1) + 1):

@@ -62,7 +62,7 @@ def test_spin_boson_hamiltonian_lcu():
         betas.append(abs(c))
         unis.append((c / abs(c)) * PauliTerm(t.letters, 1.0).to_matrix())
     enc = lcu_encode(betas, unis)
-    assert np.max(np.abs(enc.block - m.pauli_matrix() / enc.normalization)) \
+    assert np.max(np.abs(enc.block - m.pauli.to_matrix() / enc.normalization)) \
         < 1e-10
 
 

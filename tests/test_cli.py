@@ -125,7 +125,7 @@ FAULTS = {
     "ground_state": ("pds", ground_state, "moments",
                      lambda right: lambda H, phi, k: right(H + 0.1 * np.eye(len(H)), phi, k)),
     "downfolding": ("downfold", downfolding, "apply_ansatz",  # r2 rotation dropped
-                    lambda right: lambda params, space=None:
+                    lambda right: lambda params, space:
                     right(dataclasses.replace(params, r2=0.0), space)),
     "trunc_bounds": ("trunc", trunc_bounds, "_durations_from_profile",
                      lambda right: lambda *a: [1.01 * d for d in right(*a)]),
@@ -197,7 +197,11 @@ def test_non_hermitian_pauli_input_exits_2(command, sb_path, tmp_path, monkeypat
     dict(SB_MODEL, cutoffs=3),
     [SB_MODEL],
     dict(SB_MODEL, model=["spin_boson"]),
-], ids=["missing-field", "scalar-cutoffs", "array", "unhashable-model"])
+    dict(SB_MODEL, delta=math.nan),
+    dict(SB_MODEL, epsilon=math.inf),
+    dict(SB_MODEL, omegas=[-math.inf]),
+], ids=["missing-field", "scalar-cutoffs", "array", "unhashable-model", "nan", "infinity",
+        "minus-infinity"])
 def test_malformed_model_spec_exits_2(spec, tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(spec))
@@ -352,11 +356,19 @@ def test_lindblad_columns_match_exact_state(tmp_path):
     ["prep", "--c", "nan,1"],
     ["prep", "--c", "1,inf"],
     ["xy", "--seed", "1"],  # only wegner draws at random
+    ["evolve", "--t", "nan"],
+    ["walk", "--t", "inf"],
+    ["xy", "--lam", "nan"],
+    ["lindblad", "--omega", "nan"],
+    ["pds", "--hop", "nan"],
+    ["pds", "--g", "0,nan"],
+    ["downfold", "--mu", "0,inf,1"],
+    ["trunc", "--t", "1..nan"],
+    ["compile", "--dt=-inf"],
 ])
 def test_out_of_range_time_or_index_exits_2(argv, sb_path, tmp_path):
-    if argv[0] == "evolve":
-        argv = argv + ["--model", sb_path, "--steps", "4"]
-    assert run(argv + ["--out", str(tmp_path / "x")]) == 2
+    model = {"evolve": ["--model", sb_path, "--steps", "4"], "compile": ["--model", sb_path]}
+    assert run(argv + model.get(argv[0], []) + ["--out", str(tmp_path / "x")]) == 2
     assert not (tmp_path / "x").exists()
 
 
@@ -416,6 +428,30 @@ def test_trunc_non_finite_or_overflowing_input_exits_2(flag, value, capsys):
             trunc_bounds.TruncationInput(**inputs)
     assert run(["trunc", flag, value]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_trunc_mode_count_beyond_a_float_exits_2(capsys):
+    modes = "1" + "0" * 310
+    with pytest.raises(ParameterError):
+        trunc_bounds.TruncationInput(lambda0=1, chi=2.0, t=1.0, eps=1e-3, n_modes=int(modes))
+    assert run(["trunc", "--t", "1", "--modes", modes]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_wegner_non_finite_s_max_is_a_usage_error(capsys):
+    # parsed only: where nan gets through, the flow never returns
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(["wegner", "--s-max", "nan"])
+    assert exc.value.code == 2
+
+
+def test_overflowing_number_in_model_json_exits_2(tmp_path, capsys):
+    # 1e400 parses to inf; json.dumps cannot write it, so the text is edited
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(SB_MODEL).replace('"delta": 1.0', '"delta": 1e400'))
+    assert run(["compile", "--model", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert "not a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_trunc_cost_does_not_grow_with_the_step_count(capsys):

@@ -13,13 +13,13 @@ from bosonsim.downfolding import (
     build_heff,
     cluster_matrix,
     decompose_state,
-    duccsd_generators,
     excitation_basis,
     fci_dims,
     mmcc_energy,
     nested_optimize,
     solve_cc_amplitudes,
 )
+from bosonsim.errors import ParameterError
 
 
 SP = BosonFockSpace(3, 2)
@@ -111,8 +111,13 @@ def test_mmcc_exact_at_true_wavefunction():
     assert out2["moment"].real == pytest.approx(out2["direct"].real, abs=1e-10)
 
 
+def test_fixed_n_excitations_must_conserve_particle_number():
+    with pytest.raises(ParameterError, match="conserve particle number"):
+        SP.excitation_matrix((1,), ())
+
+
 def test_generators_are_antisymmetric_and_ordered():
-    gens = duccsd_generators(SP)
+    gens = SP.duccsd_generators
     assert [name for name, _ in gens] == ["r1", "r2", "s1", "s2", "s3"]
     for _, G in gens:
         assert np.allclose(G, -G.T)

@@ -84,7 +84,7 @@ def test_holstein_trial_state_shape():
 def test_holstein_pds_sweep_improves_with_k():
     for g in (0.5, 1.0, 2.0):
         m = build_holstein(HolsteinParams(3, 1.0, 1.0, g, 1, "periodic"))
-        H = m.pauli_matrix()
+        H = m.pauli.to_matrix()
         w, _ = exact_diagonalize(H)
         phi = holstein_trial_state(m.layout)
         mom = moments(H, phi, 9)

@@ -1,3 +1,4 @@
+import importlib
 import os
 import subprocess
 import sys
@@ -23,3 +24,17 @@ def test_package_import_leaves_the_ode_integrator_unloaded():
     out = subprocess.run([sys.executable, "-c", IMPORT_ALL], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_every_name_the_bench_tracer_wraps_exists():
+    # the tracer swaps these attributes in place, so a renamed or deleted one
+    # would crash a traced bench run; the file is read and run here, never written
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spans = {"__name__": "bench_spans"}
+    exec(compile(path.read_text(), str(path), "exec"), spans)
+    for module, attr_path, _, _ in spans["WRAPS"]:
+        owner = importlib.import_module(module)
+        *parents, attr = attr_path.split(".")
+        for name in parents:
+            owner = getattr(owner, name)
+        assert callable(owner.__dict__.get(attr)), f"{module}.{attr_path}"

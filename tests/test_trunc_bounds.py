@@ -114,6 +114,8 @@ def test_lambert_threshold_root():
     assert y == pytest.approx(2.7453680, rel=1e-6)
     with pytest.raises(DomainError):
         lambert_w_threshold(1.0, 1.0, 2.0)  # eps >= f(b^2) = a
+    with pytest.raises(ParameterError):
+        lambert_w_threshold(1.0, math.nan, 0.25)
 
 
 def test_leakage_oracle_within_lemma_bound():
@@ -138,10 +140,17 @@ def test_verify_conditions_fit_and_violations():
     assert out["r"] == 0.5
     # chi fit: ||(b+b†) P_L|| grows like 2 sqrt(L+1) up to edge effects
     assert 0.7 <= out["fitted_chi"] <= 2 * 0.7 + 1e-9
-    with pytest.raises(ConditionViolation):
-        verify_conditions(Hw + np.diag([1e-3] * dim), Hr, occ, 20)
-    with pytest.raises(ConditionViolation):
-        verify_conditions(Hw, Hr + Hw, occ, 20)
+    # a far coupling is reported before the diagonal one, at its (row, column) pair
+    far = Hw + np.diag([1e-3] * dim)
+    far[3, 0] = 1e-3
+    for H_w, H_r, message, pair in [
+        (far, Hr, "H_w couples occupations differing by more than 1", (3, 0)),
+        (Hw + np.diag([1e-3] * dim), Hr, "H_w has occupation-conserving entries", (0, 0)),
+        (Hw, Hr + Hw, "H_r does not commute with the occupation projectors", (0, 1)),
+    ]:
+        with pytest.raises(ConditionViolation) as exc:
+            verify_conditions(H_w, H_r, occ, 20)
+        assert (str(exc.value), exc.value.offending) == (message, pair)
 
 
 def test_truncation_defect_small_case():
@@ -170,6 +179,14 @@ def test_non_finite_inputs_are_rejected_on_construction(field, value):
         TruncationInput(**inputs)
     with pytest.raises(ParameterError, match="profile entries"):
         TruncationInput(1, 0.0, 1.0, 1e-2, profile=((1.0, value),))
+
+
+@pytest.mark.parametrize("eps, n_modes", [(1e-3, 10 ** 310), (1e-300, 10 ** 30)],
+                         ids=["overflow", "underflow"])
+def test_per_mode_eps_must_be_a_positive_float(eps, n_modes):
+    # ε/N overflows the int-to-float conversion, or underflows to 0
+    with pytest.raises(ParameterError, match="eps / n_modes"):
+        TruncationInput(lambda0=1, chi=2.0, t=1.0, eps=eps, n_modes=n_modes)
 
 
 def test_an_overflowing_schedule_is_a_parameter_error():
