@@ -70,6 +70,24 @@ class BosonFockSpace(FockSpace):
             ("s3", anti((2,), (0,))),
         )
 
+    @cached_property
+    def _generator_eigh(self) -> dict:
+        """name -> (λ, V, V†) with iG = V·diag(λ)·V† (Hermitian: G is real antisymmetric)."""
+        out = {}
+        for name, G in self.duccsd_generators:
+            lam, V = np.linalg.eigh(1j * G)
+            out[name] = (lam, V, V.conj().T)
+        return out
+
+    def rotate(self, name: str, theta: float, x: np.ndarray) -> np.ndarray:
+        """e^{θ·G}·x for the ansatz generator G called ``name``; x is a real vector or matrix.
+
+        e^{θG} = V·diag(e^{−iθλ})·V† for every θ from one cached eigendecomposition
+        (the eigenvector method for normal matrices); the product is real.
+        """
+        lam, V, Vh = self._generator_eigh[name]
+        return ((V * np.exp(-1j * theta * lam)) @ (Vh @ x)).real
+
 
 def bose_hubbard_fixed_n(space: BosonFockSpace, t, U, V, mu) -> np.ndarray:
     """Bose-Hubbard matrix on the fixed-N space (all pairs j > i)."""
@@ -228,8 +246,8 @@ class AnsatzParams:
 def apply_ansatz(params: AnsatzParams, space: BosonFockSpace) -> np.ndarray:
     """|φ⟩ = e^{s3σ}e^{s2σ}e^{s1σ}e^{r2σ}e^{r1σ}|200⟩."""
     psi = space.reference()
-    for (_, G), angle in zip(space.duccsd_generators, params.as_list()):
-        psi = expm(angle * G) @ psi
+    for (name, _), angle in zip(space.duccsd_generators, params.as_list()):
+        psi = space.rotate(name, angle, psi)
     return psi
 
 
@@ -272,25 +290,24 @@ def decompose_state(psi: np.ndarray, space: BosonFockSpace) -> AnsatzParams:
         raise DimensionError("expected a state on the 3-level, 2-boson space")
     if abs(np.linalg.norm(psi) - 1.0) > 1e-8:
         raise ParameterError("state must be normalized")
-    gens = dict(space.duccsd_generators)
     idx = space.index
     i200, i110, i020 = idx[(2, 0, 0)], idx[(1, 1, 0)], idx[(0, 2, 0)]
     i101, i011, i002 = idx[(1, 0, 1)], idx[(0, 1, 1)], idx[(0, 0, 2)]
 
     # s3: zero |101⟩ within the (|200⟩, |101⟩, |002⟩) ladder
     s3 = _spin1_elimination_angle(psi[i200], psi[i101], psi[i002])
-    psi = expm(-s3 * gens["s3"]) @ psi
+    psi = space.rotate("s3", -s3, psi)
     # s2: zero |011⟩ (pure 2-level rotation with |200⟩, angle √2·s2);
     # wrapping the rotation angle by π may flip the state's overall sign,
     # which the global-sign convention absorbs
     s2 = _wrap_angle(math.atan2(psi[i011], psi[i200])) / math.sqrt(2.0)
-    psi = expm(-s2 * gens["s2"]) @ psi
+    psi = space.rotate("s2", -s2, psi)
     # s1: zero |002⟩ (2-level rotation with |200⟩, angle 2·s1)
     s1 = _wrap_angle(math.atan2(psi[i002], psi[i200])) / 2.0
-    psi = expm(-s1 * gens["s1"]) @ psi
+    psi = space.rotate("s1", -s1, psi)
     # r2: zero |110⟩ within the (|200⟩, |110⟩, |020⟩) ladder
     r2 = _spin1_elimination_angle(psi[i200], psi[i110], psi[i020])
-    psi = expm(-r2 * gens["r2"]) @ psi
+    psi = space.rotate("r2", -r2, psi)
     # r1: zero |020⟩ (2-level rotation with |200⟩, angle 2·r1)
     r1 = _wrap_angle(math.atan2(psi[i020], psi[i200])) / 2.0
     return AnsatzParams(r1, r2, s1, s2, s3)
@@ -308,7 +325,6 @@ def nested_optimize(H: np.ndarray, space: BosonFockSpace):
     Returns {"energy", "params", "H_eff", "trace"}; trace entries are
     (iteration, |E − E_exact|).
     """
-    gens = space.duccsd_generators
     idx = space.index
     active = [idx[(2, 0, 0)], idx[(1, 1, 0)], idx[(0, 2, 0)]]
     e_exact = float(np.linalg.eigvalsh(H)[0])
@@ -331,8 +347,9 @@ def nested_optimize(H: np.ndarray, space: BosonFockSpace):
                        options={"xatol": 1e-12, "fatol": 1e-12, "maxiter": 4000})
         params = AnsatzParams(params.r1, params.r2, *res.x)
         # macro update: active-space diagonalization at fixed outer unitary
-        outer = (expm(params.s3 * gens[4][1]) @ expm(params.s2 * gens[3][1])
-                 @ expm(params.s1 * gens[2][1]))
+        outer = np.eye(space.dim)
+        for name in ("s1", "s2", "s3"):  # e^{s3σ}e^{s2σ}e^{s1σ}
+            outer = space.rotate(name, getattr(params, name), outer)
         Ht = outer.T @ H @ outer
         h_eff = Ht[np.ix_(active, active)]
         w, V = np.linalg.eigh(h_eff)
@@ -343,7 +360,7 @@ def nested_optimize(H: np.ndarray, space: BosonFockSpace):
         for i, a in enumerate(active):
             full[a] = vec[i]
         r2 = _spin1_elimination_angle(full[active[0]], full[active[1]], full[active[2]])
-        tmp = expm(-r2 * gens[1][1]) @ full
+        tmp = space.rotate("r2", -r2, full)
         r1 = 0.5 * math.atan2(tmp[active[2]], tmp[active[0]])
         params = AnsatzParams(r1, r2, params.s1, params.s2, params.s3)
         e_now = energy(params)

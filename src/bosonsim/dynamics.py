@@ -36,7 +36,7 @@ def require_hermitian(H: np.ndarray) -> np.ndarray:
     return H
 
 
-def expm_hermitian(H: np.ndarray, scale: complex = -1.0j) -> np.ndarray:
+def expm_hermitian(H: np.ndarray, scale: complex) -> np.ndarray:
     """e^{scale·H} for Hermitian H via eigendecomposition."""
     w, V = np.linalg.eigh(H)
     return (V * np.exp(scale * w)) @ V.conj().T
@@ -230,6 +230,8 @@ class GateList:
 
 def synthesize_pauli_exponential(term: PauliTerm, theta: float) -> GateList:
     """Gate list realizing e^{−i(θ/2)·P} for a unit-coefficient Pauli string P."""
+    if not math.isfinite(theta):
+        raise ParameterError(f"rotation angle theta={theta} is not finite")
     if term.coefficient == 0:
         raise ParameterError("zero-coefficient term has no synthesis target")
     if abs(term.coefficient - 1.0) > 1e-12:

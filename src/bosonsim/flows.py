@@ -50,6 +50,10 @@ def wegner_flow(H0: np.ndarray, ds: float | None = None, s_max: float = 50.0,
     A stalled flow (degenerate diagonal with surviving coupling) raises
     ConvergenceError carrying the trajectory up to s_max for inspection.
     """
+    if not s_max > 0:
+        raise ParameterError(f"s_max={s_max} must be positive")
+    if np.size(H0) == 0:
+        raise ParameterError("H0 is empty: the flow needs at least a 1x1 matrix")
     from scipy.integrate import solve_ivp  # lazy: costs set-up time on import
 
     H = require_hermitian(H0)

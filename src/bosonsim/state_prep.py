@@ -57,7 +57,7 @@ def _rotation_chain(targets: np.ndarray):
     return x, y
 
 
-def plan_prep(c, scheme: str = "A") -> PrepPlan:
+def plan_prep(c, scheme: str) -> PrepPlan:
     """Rotation angles, success probability, and amplification count."""
     c = np.asarray(c, dtype=complex)
     if c.ndim != 1 or len(c) == 0:

@@ -93,6 +93,15 @@ def test_compile_also_emits_circuit(sb_path, tmp_path):
     assert "qreg q[3];" in text
 
 
+def test_compile_circuit_with_overflowing_angle_exits_2(sb_path, tmp_path, capsys):
+    # finite --dt whose rotation angle 2·c·dt overflows to inf
+    out, qasm = tmp_path / "h.txt", tmp_path / "step.qasm"
+    assert run(["compile", "--model", sb_path, "--out", str(out),
+                "--circuits", str(qasm), "--dt", "1e308"]) == 2
+    assert "not finite" in capsys.readouterr().err
+    assert not out.exists() and not qasm.exists()
+
+
 def test_failed_selftest_exits_1(monkeypatch, capsys):
     def broken():
         raise AssertionError("broken invariant")
@@ -135,7 +144,7 @@ FAULTS = {
     "block_encoding": ("blockenc", block_encoding, "_sign_table",
                        lambda right: lambda *a: 0),
     "state_prep": ("prep", state_prep, "plan_prep",
-                   lambda right: lambda c, scheme="A": dataclasses.replace(
+                   lambda right: lambda c, scheme: dataclasses.replace(
                        right(c, scheme), p_success=0.9 * right(c, scheme).p_success)),
     "flows": ("xy", flows, "xy_spectrum",
               lambda right: lambda *a: dict(right(*a), E_k=1.1 * right(*a)["E_k"])),
@@ -484,6 +493,14 @@ def test_prep_report(tmp_path):
     assert rep["p_success"] == pytest.approx(expect, abs=1e-12)
     assert rep["simulated_probability"] == pytest.approx(expect, abs=1e-10)
     assert rep["fidelity"] >= 1 - 1e-10
+
+
+@pytest.mark.parametrize("argv, named", [(["--s-max", "-1"], "s_max=-1.0"),
+                                         (["--dim", "0"], "H0 is empty")])
+def test_wegner_rejects_bad_input_by_name(argv, named, tmp_path, capsys):
+    assert run(["wegner", *argv, "--out", str(tmp_path / "w.csv")]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "w.csv").exists()
 
 
 def test_wegner_trajectory_converges(tmp_path):

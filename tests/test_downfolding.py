@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from bosonsim import downfolding
 from bosonsim.downfolding import (
     AnsatzParams,
     BosonFockSpace,
@@ -121,6 +122,33 @@ def test_generators_are_antisymmetric_and_ordered():
     assert [name for name, _ in gens] == ["r1", "r2", "s1", "s2", "s3"]
     for _, G in gens:
         assert np.allclose(G, -G.T)
+
+
+def test_rotations_match_expm_and_stay_orthogonal():
+    angles = np.linspace(-math.pi, math.pi, 65)  # holds 0 and ±π
+    for name, G in SP.duccsd_generators:
+        for theta in angles:
+            R = SP.rotate(name, theta, np.eye(SP.dim))
+            assert np.max(np.abs(R - expm(theta * G))) <= 1e-12
+            assert np.max(np.abs(R.T @ R - np.eye(SP.dim))) <= 1e-14
+            # a vector takes the same rotation; the reference is the first basis state
+            assert np.allclose(SP.rotate(name, theta, SP.reference()), R[:, 0],
+                               rtol=0, atol=1e-15)
+
+
+def test_nested_optimize_makes_no_expm_calls(monkeypatch):
+    calls = []
+
+    def counting(A):
+        calls.append(A.shape)
+        return expm(A)
+
+    monkeypatch.setattr(downfolding, "expm", counting)
+    nested_optimize(H_BENCH, SP)
+    decompose_state(apply_ansatz(AnsatzParams(r1=0.3, s2=-0.2), SP), SP)
+    assert calls == []
+    solve_cc_amplitudes(H_REF, SP, excitation_basis(SP))  # cluster matrices still use expm
+    assert calls
 
 
 def test_ansatz_reaches_all_configurations():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -159,6 +161,13 @@ def test_synthesis_interleaved_identity_and_pure_identity():
 def test_synthesis_requires_unit_coefficient():
     with pytest.raises(ParameterError):
         synthesize_pauli_exponential(PauliTerm("XX", 2.0), 0.1)
+
+
+@pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+def test_synthesis_rejects_non_finite_angle(theta):
+    for letters in ("XZ", "II"):
+        with pytest.raises(ParameterError, match="not finite"):
+            synthesize_pauli_exponential(PauliTerm(letters, 1.0), theta)
 
 
 def test_qasm_round_trip_preserves_unitary():

@@ -115,6 +115,17 @@ def test_flow_keeps_complex_hermitian_phases():
         assert np.max(np.abs(np.linalg.eigvalsh(st.H) - w)) < 1e-8
 
 
+@pytest.mark.parametrize("s_max", [0.0, -1.0, math.nan])
+def test_flow_rejects_non_positive_s_max(s_max):
+    with pytest.raises(ParameterError, match="s_max"):
+        wegner_flow(np.array([[1.0, 0.5], [0.5, -1.0]]), s_max=s_max)
+
+
+def test_flow_rejects_empty_matrix():
+    with pytest.raises(ParameterError, match="H0 is empty"):
+        wegner_flow(np.zeros((0, 0)))
+
+
 def test_flow_unconverged_by_s_max_carries_trajectory():
     rng = np.random.default_rng(1)
     A = rng.normal(size=(5, 5))
