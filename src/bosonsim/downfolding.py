@@ -17,7 +17,6 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.optimize import minimize, root
 
 from .encodings import FockSpace, occupation_sector
 from .errors import ConvergenceError, DimensionError, DomainError, ParameterError
@@ -142,6 +141,8 @@ def solve_cc_amplitudes(H: np.ndarray, space: BosonFockSpace, basis: list[Excita
     iterates falls below 1e-10; a residual norm above 1e-8 raises
     ConvergenceError.
     """
+    from scipy.optimize import root  # lazy: costs set-up time on import
+
     phi = space.reference()
     configs = []
     for exc in basis:
@@ -325,6 +326,8 @@ def nested_optimize(H: np.ndarray, space: BosonFockSpace):
     Returns {"energy", "params", "H_eff", "trace"}; trace entries are
     (iteration, |E − E_exact|).
     """
+    from scipy.optimize import minimize  # lazy: costs set-up time on import
+
     idx = space.index
     active = [idx[(2, 0, 0)], idx[(1, 1, 0)], idx[(0, 2, 0)]]
     e_exact = float(np.linalg.eigvalsh(H)[0])

@@ -18,7 +18,8 @@ from itertools import chain
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import DimensionError, DomainError, ParameterError
+from .errors import CapacityError, DimensionError, DomainError, ParameterError
+from .pauli import DENSE_LIMIT
 
 
 @dataclass(frozen=True)
@@ -54,9 +55,15 @@ def devectorize(v: np.ndarray, d: int) -> np.ndarray:
 
 
 def build_liouvillian(spec: LindbladSpec) -> np.ndarray:
-    """Superoperator L with vec(dρ/dt) = L·vec(ρ)."""
+    """Superoperator L with vec(dρ/dt) = L·vec(ρ), a dense d²×d² matrix.
+
+    Raises CapacityError before allocating when d² exceeds 2**DENSE_LIMIT.
+    """
+    d = spec.H.shape[0]
+    if d * d > 2 ** DENSE_LIMIT:
+        raise CapacityError(
+            f"Liouvillian of dimension {d}² = {d * d} exceeds dense limit 2**{DENSE_LIMIT}")
     H, b, n = (np.asarray(m, dtype=complex) for m in (spec.H, spec.b, spec.n))
-    d = H.shape[0]
     I = np.eye(d)
     bd = b.conj().T
     L = -1j * np.kron(I, H) + 1j * np.kron(H.T, I)

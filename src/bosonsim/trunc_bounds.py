@@ -26,9 +26,13 @@ from itertools import accumulate, count
 import numpy as np
 
 from .dynamics import expm_hermitian
-from .errors import ConditionViolation, DomainError, ParameterError
+from .errors import ConditionViolation, DimensionError, DomainError, ParameterError
 
 MIN_DELTA_LAMBDA = 60  # ⌈8e²⌉ — smallest increment the lemma admits
+
+# (key, e^{−itH}Π_[0,Λ0]) of the last truncation_defect call; the key holds
+# the exact content the full side was computed from, never an object identity
+_full_side = (None, None)
 
 
 @dataclass(frozen=True)
@@ -274,6 +278,16 @@ def lambert_w_threshold(a: float, b: float, eps: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _check_oracle_input(H, occ, name: str, time: float) -> None:
+    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+        raise DimensionError(f"H must be square; got shape {H.shape}")
+    if occ.shape != (H.shape[0],):
+        raise DimensionError(
+            f"occupations has {occ.size} entries for {H.shape[0]} basis states")
+    if not math.isfinite(time):
+        raise ParameterError(f"{name} must be finite; got {time}")
+
+
 def leakage_oracle(H_full: np.ndarray, occupations, lam: int, lam_prime: int,
                    dt: float) -> dict:
     """‖Π̄_[0,Λ′] e^{−iΔtH} Π_[0,Λ]‖ on a padded dense space.
@@ -284,6 +298,7 @@ def leakage_oracle(H_full: np.ndarray, occupations, lam: int, lam_prime: int,
     """
     occ = np.asarray(occupations)
     H = np.asarray(H_full, dtype=complex)
+    _check_oracle_input(H, occ, "dt", dt)
     pad = int(occ.max()) - lam_prime
     if pad < 0:
         raise ParameterError("H_full must extend beyond Λ′")
@@ -336,18 +351,31 @@ def truncation_defect(H_full, occupations, lambda0: int, lambda_tilde: int,
     the Π_[0,Λ0] columns only, through a Krylov matrix exponential; e^{−itH̃}
     is the identity outside Π_[0,Λ̃], so it is propagated on the inside
     block alone.
+
+    A cutoff scan propagates the full space once: the full side
+    e^{−itH}Π_[0,Λ0] of the last call is reused when H (by content), the
+    Π_[0,Λ0] columns and t repeat, so each further Λ̃ pays only for its
+    inside block.  The result is bit-identical to a fresh computation.
     """
     from scipy.sparse import csc_matrix
     from scipy.sparse.linalg import expm_multiply
 
+    global _full_side
     occ = np.asarray(occupations)
-    H = csc_matrix(H_full)
+    H = csc_matrix(H_full, copy=True)  # a CSC input is canonicalized on a copy
+    _check_oracle_input(H, occ, "t", t)
+    H.sum_duplicates()
     inside = np.flatnonzero(occ <= lambda_tilde)
     cols = np.flatnonzero(occ <= lambda0)
     B = np.zeros((H.shape[0], len(cols)), dtype=complex)
     B[cols, np.arange(len(cols))] = 1.0
-    full = expm_multiply(-1j * t * H, B)
+    key = (H.dtype.str, H.indices.dtype.str, H.shape, H.data.tobytes(),
+           H.indices.tobytes(), H.indptr.tobytes(), cols.tobytes(), float(t))
+    stored_key, full = _full_side  # one read: another thread may replace the entry
+    if stored_key != key:
+        full = expm_multiply(-1j * t * H, B)
+        full.flags.writeable = False
+        _full_side = (key, full)
     trunc = B.copy()
     trunc[inside] = expm_multiply(-1j * t * H[inside][:, inside], B[inside])
-    full -= trunc
-    return float(np.linalg.norm(full, 2))
+    return float(np.linalg.norm(full - trunc, 2))

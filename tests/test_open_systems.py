@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
-from bosonsim.errors import DomainError, ParameterError
+from bosonsim.cli import run
+from bosonsim.errors import CapacityError, DomainError, ParameterError
 from bosonsim.models import mode_matrices
 from bosonsim.open_systems import (
     LindbladSpec,
@@ -173,3 +176,17 @@ def test_lcu_split_at_zero_time():
     out = lcu_split(L, 0.0, 1e-3)
     assert np.allclose(out["A"], np.eye(16), atol=1e-12)
     assert np.max(np.abs(out["B"])) < 1e-12
+
+
+def test_liouvillian_above_the_dense_limit_is_refused_before_allocating(tmp_path):
+    # cutoff 128: d² = 16,641 > 2**14; the d²×d² complex matrix would take 4.1 GiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="16641"):
+            build_liouvillian(make_spec(cutoff=128))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert run(["lindblad", "--cutoff", "128", "--out", str(tmp_path / "l.csv")]) == 2
+    assert not (tmp_path / "l.csv").exists()

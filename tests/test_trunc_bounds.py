@@ -5,8 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 
-from bosonsim.errors import ConditionViolation, DomainError, ParameterError
+from bosonsim import trunc_bounds
+from bosonsim.errors import ConditionViolation, DimensionError, DomainError, ParameterError
 from bosonsim.trunc_bounds import (
     TruncationInput,
     hamiltonian_cutoff,
@@ -307,3 +309,80 @@ def test_truncation_defect_never_copies_a_dense_input():
         tracemalloc.stop()
     assert d < 1e-10
     assert peak < H.nbytes  # 30.5 MiB
+
+
+def cold_defect(*args):
+    """truncation_defect with no full side kept from an earlier call."""
+    trunc_bounds._full_side = (None, None)
+    return truncation_defect(*args)
+
+
+def test_a_cutoff_scan_propagates_the_full_space_once(monkeypatch):
+    H, occ = padded_oscillator(200, 1.0), np.arange(200)
+    full_rows = []
+    expm_multiply = scipy.sparse.linalg.expm_multiply
+
+    def counting(A, B, *args, **kwargs):
+        full_rows.append(A.shape[0] == 200)
+        return expm_multiply(A, B, *args, **kwargs)
+
+    trunc_bounds._full_side = (None, None)
+    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", counting)
+    scan = [truncation_defect(H, occ, 1, lam, 1.0) for lam in range(1, 13)]
+    assert full_rows.count(True) == 1 and len(full_rows) == 13
+    monkeypatch.undo()
+    assert scan == [cold_defect(H, occ, 1, lam, 1.0) for lam in range(1, 13)]
+    assert scan[7] <= 1e-2 < scan[6]  # the empirical cutoff is still 8
+
+
+def test_reuse_never_returns_a_stale_full_side():
+    H, occ = single_mode(1.0, 0.7, 60)
+    args = [H, occ, 1, 10, 1.5]
+    before = truncation_defect(*args)
+    H[5, 5] += 1.0  # an in-place edit keeps the object, not the content
+    after = truncation_defect(*args)
+    assert after == cold_defect(*args) and after != before
+    for i, value in ((4, 2.5), (2, 2), (1, np.r_[occ[:-1], 0])):
+        truncation_defect(*args)
+        changed = args[:i] + [value] + args[i + 1:]
+        warm = truncation_defect(*changed)
+        assert warm == cold_defect(*changed) != cold_defect(*args)
+    # equal data and indptr, other indices: the path 0-1-2-3-… against 0-2-1-3-…
+    path = scipy.sparse.diags([np.ones(59), np.ones(59)], [-1, 1], format="csc")
+    swap = np.r_[0, 2, 1, 3:60]
+    moved = path[swap][:, swap].tocsc()
+    truncation_defect(path, occ, 1, 10, 1.5)
+    warm = truncation_defect(moved, occ, 1, 10, 1.5)
+    assert warm == cold_defect(moved, occ, 1, 10, 1.5) != cold_defect(path, occ, 1, 10, 1.5)
+
+
+def test_repeated_defect_calls_leave_the_kept_full_side_intact():
+    H, occ = single_mode(1.0, 0.5, 40)
+    first = truncation_defect(H, occ, 2, 6, 1.0)
+    assert truncation_defect(H, occ, 2, 6, 1.0) == first
+    assert not trunc_bounds._full_side[1].flags.writeable
+
+
+def test_oracles_reject_occupations_of_the_wrong_length():
+    H, occ = single_mode(1.0, 0.5, 40)
+    with pytest.raises(DimensionError, match="30 entries for 40"):
+        truncation_defect(H, occ[:30], 1, 10, 1.0)
+    with pytest.raises(DimensionError, match="30 entries for 40"):
+        leakage_oracle(H, occ[:30], 1, 10, 0.1)
+
+
+def test_oracles_reject_a_non_square_h():
+    H, occ = single_mode(1.0, 0.5, 40)
+    with pytest.raises(DimensionError, match="square"):
+        truncation_defect(H[:, :39], occ, 1, 10, 1.0)
+    with pytest.raises(DimensionError, match="square"):
+        leakage_oracle(H[:39], occ, 1, 10, 0.1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_oracles_reject_a_non_finite_time(bad):
+    H, occ = single_mode(1.0, 0.5, 40)
+    with pytest.raises(ParameterError, match="^t must be finite"):
+        truncation_defect(H, occ, 1, 10, bad)
+    with pytest.raises(ParameterError, match="^dt must be finite"):
+        leakage_oracle(H, occ, 1, 10, bad)
