@@ -116,14 +116,15 @@ def integral_sign_representation(f_values, fmax: float):
 
 
 def _sign_table(lam: int, capital_lambda: int, capital_xi: int) -> int:
-    """Count of −1 samples: 2ξ > Ξ and (2ξ−Ξ)²(Λ−1) > Ξ²((λ+1) mod Λ)."""
+    """Count of −1 samples: 2ξ > Ξ and (2ξ−Ξ)²(Λ−1) > Ξ²((λ+1) mod Λ).
+
+    u = 2ξ − Ξ runs over [−Ξ, Ξ−2] in steps of 2, and the inequality holds
+    exactly for u ≥ u0 = ⌊√(Ξ²·target // (Λ−1))⌋ + 1, so the count is
+    closed form in exact integers instead of a loop over Ξ samples.
+    """
     target = (lam + 1) % capital_lambda
-    minus = 0
-    for xi in range(capital_xi):
-        u = 2 * xi - capital_xi
-        if u > 0 and u * u * (capital_lambda - 1) > capital_xi * capital_xi * target:
-            minus += 1
-    return minus
+    u0 = math.isqrt(capital_xi * capital_xi * target // (capital_lambda - 1)) + 1
+    return max(0, (capital_xi - u0) // 2)
 
 
 @dataclass(frozen=True)

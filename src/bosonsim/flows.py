@@ -21,8 +21,12 @@ from .errors import ConvergenceError, DomainError, ParameterError
 
 def wegner_generator(H: np.ndarray) -> np.ndarray:
     """G = [diag(H), H]: G_ij = h_ij (d_i − d_j), anti-Hermitian, zero diagonal."""
-    H = require_hermitian(H)
-    d = np.real(np.diag(H))
+    return _generator(require_hermitian(H))
+
+
+def _generator(H: np.ndarray) -> np.ndarray:
+    """h_ij (d_i − d_j) for an H already known to be Hermitian."""
+    d = H.diagonal().real
     return H * (d[:, None] - d[None, :])
 
 
@@ -71,8 +75,7 @@ def wegner_flow(H0: np.ndarray, ds: float | None = None, s_max: float = 50.0,
 
     def rhs(_s, y):
         M = y.reshape(n, n)
-        d = M.diagonal().real
-        G = M * (d[:, None] - d[None, :])
+        G = _generator(M)
         return (G @ M - M @ G).ravel()
 
     def converged(_s, y):

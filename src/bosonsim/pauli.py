@@ -1,11 +1,13 @@
 """Exact symbolic algebra over tensor products of Pauli and ladder operators.
 
-Operators are stored as linear combinations of Pauli strings ("letters" over
-{I, X, Y, Z}).  Qubit 0 is the leftmost letter and the most significant
-tensor factor (bit n−1 of a basis index).  A string acts on basis states
-through its binary symplectic form: X or Y sets a bit of ``x_mask``, Y or Z
-a bit of ``z_mask``, and since Y = iXZ per qubit,
-P|k⟩ = c·i^{#Y}·(−1)^{|k ∧ z_mask|}·|k ⊕ x_mask⟩.
+Operators are linear combinations of Pauli strings, each stored in its
+binary symplectic form (Aaronson & Gottesman, PRA 70, 052328): X or Y sets
+a bit of ``x_mask``, Y or Z a bit of ``z_mask``.  Qubit 0 is the most
+significant bit (bit n−1 of a basis index), the leftmost tensor factor and
+the leftmost letter of the text form over {I, X, Y, Z}.  Since Y = iXZ per
+qubit, P|k⟩ = c·i^{#Y}·(−1)^{|k ∧ z_mask|}·|k ⊕ x_mask⟩, and the product of
+two strings XORs their masks.  Letters appear only where callers read or
+write them.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ DENSE_LIMIT = 14
 _NOT_PAULI = str.maketrans("", "", "IXYZ")  # deletes the valid letters
 _X_BITS = str.maketrans("IXYZ", "0110")
 _Z_BITS = str.maketrans("IXYZ", "0011")
-_CODES = str.maketrans("IXYZ", "\x00\x02\x03\x01")  # one byte 2x + z per letter
-_LETTERS = bytes.maketrans(b"\x00\x01\x02\x03", b"IZXY")
 _I_POWERS = (1, 1j, -1, -1j)
 
 
@@ -33,6 +33,20 @@ def _require_letters(letters: str):
     if letters.translate(_NOT_PAULI):
         raise ParameterError(
             f"invalid Pauli letters: {sorted(set(letters.translate(_NOT_PAULI)))}")
+
+
+def _mask(letters: str, bits) -> int:
+    return int(letters.translate(bits) or "0", 2)
+
+
+def _nonzero(terms: dict) -> dict:
+    """The nonzero terms, each coefficient added to 0.0 so that −0.0 parts become +0.0."""
+    return {k: c for k, v in terms.items() if (c := 0.0 + complex(v)) != 0}
+
+
+def _letters(x: int, z: int, n: int) -> str:
+    """The n letters of the string with masks (x, z), qubit 0 (bit n−1) first."""
+    return "".join("IZXY"[(x >> k & 1) << 1 | z >> k & 1] for k in range(n - 1, -1, -1))
 
 
 @dataclass(frozen=True)
@@ -51,11 +65,11 @@ class PauliTerm:
 
     @cached_property
     def x_mask(self) -> int:
-        return int(self.letters.translate(_X_BITS) or "0", 2)
+        return _mask(self.letters, _X_BITS)
 
     @cached_property
     def z_mask(self) -> int:
-        return int(self.letters.translate(_Z_BITS) or "0", 2)
+        return _mask(self.letters, _Z_BITS)
 
     def signed_permutation(self) -> tuple[np.ndarray, np.ndarray]:
         """(src, phase) with (P·ψ)[k] = phase[k]·ψ[src[k]] and src[k] = k ⊕ x_mask."""
@@ -70,54 +84,28 @@ class PauliTerm:
         """P·ψ in O(2ⁿ), without building the matrix."""
         psi = np.asarray(psi)
         if psi.shape != (1 << self.qubit_count,):
-            raise DimensionError(
-                f"state of shape {psi.shape} for {self.qubit_count} qubits"
-            )
+            raise DimensionError(f"state of shape {psi.shape} for {self.qubit_count} qubits")
         src, phase = self.signed_permutation()
         return phase * psi[src]
 
     def to_matrix(self) -> np.ndarray:
         if self.qubit_count > DENSE_LIMIT:
-            raise CapacityError(
-                f"{self.qubit_count} qubits exceeds dense limit {DENSE_LIMIT}"
-            )
+            raise CapacityError(f"{self.qubit_count} qubits exceeds dense limit {DENSE_LIMIT}")
         src, phase = self.signed_permutation()
         m = np.zeros((src.size, src.size), dtype=complex)
         m[np.arange(src.size), src] = phase
         return m
 
 
-def _product(ka: str, kb: str) -> tuple[complex, str]:
-    """(phase, kc) with a·b = phase·c for equal-length Pauli strings a, b.
-
-    Per qubit a letter is i^{xz}·X^x Z^z (Aaronson & Gottesman, PRA 70,
-    052328), so c's code 2x + z is the XOR of a's and b's, and
-    phase = i^{#Y_a + #Y_b − #Y_c}·(−1)^{|z_a ∧ x_b|}.
-    """
-    a = int.from_bytes(ka.translate(_CODES).encode(), "big")
-    b = int.from_bytes(kb.translate(_CODES).encode(), "big")
-    c = a ^ b
-    z = int.from_bytes(b"\x01" * len(ka), "big")  # the z bit of every letter
-    k = ((a & a >> 1 & z).bit_count() + (b & b >> 1 & z).bit_count()
-         - (c & c >> 1 & z).bit_count() + 2 * (a & b >> 1 & z).bit_count())
-    return _I_POWERS[k % 4], c.to_bytes(len(ka), "big").translate(_LETTERS).decode()
-
-
-def mul(a: PauliTerm, b: PauliTerm) -> PauliTerm:
-    """Pauli group product of two terms, phase folded into the coefficient."""
-    if len(a.letters) != len(b.letters):
-        raise DimensionError(
-            f"letter length mismatch: {len(a.letters)} vs {len(b.letters)}"
-        )
-    phase, letters = _product(a.letters, b.letters)
-    return PauliTerm(letters, a.coefficient * b.coefficient * phase)
-
-
 class PauliSum:
     """Linear combination of Pauli strings on a fixed number of qubits.
 
-    Immutable; like terms are always merged.  Terms with coefficients at or
-    below the pruning tolerance are dropped by :meth:`simplify`.
+    Immutable.  Terms are keyed by their ``(x_mask, z_mask)`` pair, so like
+    terms are always merged and every operation is integer arithmetic on
+    the masks.  Zero coefficients are dropped and signed zeros stored as
+    +0.0; terms at or below the pruning tolerance are dropped by
+    :meth:`simplify`.  The constructor, :meth:`from_term` and
+    :meth:`from_text` take letters and validate them.
     """
 
     __slots__ = ("_terms", "_n")
@@ -125,16 +113,21 @@ class PauliSum:
     def __init__(self, terms: Mapping[str, complex], qubit_count: int):
         if qubit_count < 0:
             raise ParameterError("qubit_count must be non-negative")
-        acc: dict[str, complex] = {}
-        for letters, coeff in terms.items():
+        for letters in terms:
             if len(letters) != qubit_count:
                 raise DimensionError(
-                    f"term {letters!r} has {len(letters)} letters, expected {qubit_count}"
-                )
-            acc[letters] = acc.get(letters, 0.0) + complex(coeff)
-        _require_letters("".join(acc))
-        object.__setattr__(self, "_terms", {k: v for k, v in acc.items() if v != 0})
-        object.__setattr__(self, "_n", qubit_count)
+                    f"term {letters!r} has {len(letters)} letters, expected {qubit_count}")
+        _require_letters("".join(terms))
+        self._n = qubit_count
+        self._terms = _nonzero(
+            {(_mask(k, _X_BITS), _mask(k, _Z_BITS)): v for k, v in terms.items()})
+
+    @staticmethod
+    def _of(terms: dict[tuple[int, int], complex], qubit_count: int) -> "PauliSum":
+        """A sum of mask-keyed terms this class computed, so trusted without checks."""
+        out = object.__new__(PauliSum)
+        out._n, out._terms = qubit_count, _nonzero(terms)
+        return out
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -154,21 +147,21 @@ class PauliSum:
     def qubit_count(self) -> int:
         return self._n
 
+    def _sorted(self) -> list[tuple[str, complex]]:
+        """(letters, coefficient) pairs in lexicographic letter order."""
+        n = self._n
+        return sorted((_letters(x, z, n), v) for (x, z), v in self._terms.items())
+
     @property
     def terms(self) -> tuple[PauliTerm, ...]:
         """Terms in canonical lexicographic letter order."""
-        return tuple(
-            PauliTerm(k, self._terms[k]) for k in sorted(self._terms)
-        )
-
-    def coefficient(self, letters: str) -> complex:
-        return self._terms.get(letters, 0.0)
+        return tuple(PauliTerm(k, v) for k, v in self._sorted())
 
     def __len__(self) -> int:
         return len(self._terms)
 
     def __repr__(self) -> str:
-        body = " + ".join(f"({v})·{k}" for k, v in sorted(self._terms.items()))
+        body = " + ".join(f"({v})·{k}" for k, v in self._sorted())
         return f"PauliSum[{self._n}]({body or '0'})"
 
     def __eq__(self, other) -> bool:
@@ -189,7 +182,7 @@ class PauliSum:
         acc = dict(self._terms)
         for k, v in other._terms.items():
             acc[k] = acc.get(k, 0.0) + v
-        return PauliSum(acc, self._n)
+        return PauliSum._of(acc, self._n)
 
     def __sub__(self, other: "PauliSum") -> "PauliSum":
         return self + (-1.0) * other
@@ -200,56 +193,57 @@ class PauliSum:
     def __rmul__(self, scalar) -> "PauliSum":
         if isinstance(scalar, PauliSum):
             return NotImplemented
-        return PauliSum({k: scalar * v for k, v in self._terms.items()}, self._n)
+        return PauliSum._of({k: scalar * v for k, v in self._terms.items()}, self._n)
 
     def __mul__(self, other) -> "PauliSum":
+        """Scalar or operator product.
+
+        Per qubit a letter is i^{xz}·X^x Z^z, so a·b = phase·c with c's masks
+        the XOR of a's and b's and phase = i^{#Y_a + #Y_b − #Y_c}·(−1)^{|z_a ∧ x_b|},
+        where #Y = |x ∧ z|.
+        """
         if not isinstance(other, PauliSum):
-            return PauliSum({k: other * v for k, v in self._terms.items()}, self._n)
+            return PauliSum._of({k: other * v for k, v in self._terms.items()}, self._n)
         self._require_same_width(other)
-        acc: dict[str, complex] = {}
-        for ka, va in self._terms.items():
-            for kb, vb in other._terms.items():
-                phase, kc = _product(ka, kb)
-                acc[kc] = acc.get(kc, 0.0) + va * vb * phase
-        return PauliSum(acc, self._n)
+        acc: dict[tuple[int, int], complex] = {}
+        for (xa, za), va in self._terms.items():
+            ya = (xa & za).bit_count()
+            for (xb, zb), vb in other._terms.items():
+                xc, zc = xa ^ xb, za ^ zb
+                k = (ya + (xb & zb).bit_count() - (xc & zc).bit_count()
+                     + 2 * (za & xb).bit_count())
+                acc[xc, zc] = acc.get((xc, zc), 0.0) + va * vb * _I_POWERS[k % 4]
+        return PauliSum._of(acc, self._n)
 
     def tensor(self, other: "PauliSum") -> "PauliSum":
-        acc = {}
-        for ka, va in self._terms.items():
-            for kb, vb in other._terms.items():
-                acc[ka + kb] = acc.get(ka + kb, 0.0) + va * vb
-        return PauliSum(acc, self._n + other._n)
+        """self ⊗ other: other's qubits follow self's, in the low bits."""
+        m = other._n
+        return PauliSum._of({(xa << m | xb, za << m | zb): va * vb
+                             for (xa, za), va in self._terms.items()
+                             for (xb, zb), vb in other._terms.items()}, self._n + m)
 
     def adjoint(self) -> "PauliSum":
-        return PauliSum({k: np.conj(v) for k, v in self._terms.items()}, self._n)
+        return PauliSum._of({k: v.conjugate() for k, v in self._terms.items()}, self._n)
 
     def simplify(self, tol: float = PRUNE_TOL) -> "PauliSum":
-        """Merge like terms (always maintained) and prune |coeff| <= tol."""
+        """Prune |coeff| <= tol (like terms are always merged)."""
         if tol < 0:
             raise ParameterError("tol must be non-negative")
-        return PauliSum(
-            {k: v for k, v in self._terms.items() if abs(v) > tol}, self._n
-        )
+        return PauliSum._of({k: v for k, v in self._terms.items() if abs(v) > tol}, self._n)
 
     def to_matrix(self) -> np.ndarray:
         if self._n > DENSE_LIMIT:
-            raise CapacityError(
-                f"{self._n} qubits exceeds dense limit {DENSE_LIMIT}"
-            )
+            raise CapacityError(f"{self._n} qubits exceeds dense limit {DENSE_LIMIT}")
         dim = 2 ** self._n
         out = np.zeros((dim, dim), dtype=complex)
-        for k, v in self._terms.items():
-            out += PauliTerm(k, v).to_matrix()
+        for (x, z), v in self._terms.items():  # insertion order fixes the rounding
+            out += PauliTerm(_letters(x, z, self._n), v).to_matrix()
         return out
 
     # -- serialization -----------------------------------------------------
     def to_text(self) -> str:
         """One term per line: '<coeff_re> <coeff_im> <LETTERS>', MSB first."""
-        lines = []
-        for k in sorted(self._terms):
-            v = self._terms[k]
-            lines.append(f"{v.real!r} {v.imag!r} {k}")
-        return "\n".join(lines) + ("\n" if lines else "")
+        return "".join(f"{v.real!r} {v.imag!r} {k}\n" for k, v in self._sorted())
 
     @staticmethod
     def from_text(text: str, qubit_count: int | None = None) -> "PauliSum":

@@ -1,9 +1,11 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from bosonsim.block_encoding import (
+    _sign_table,
     boson_block_encode,
     choose_xi,
     integral_sign_representation,
@@ -99,6 +101,34 @@ def test_boson_block_encoding_error_grid():
         for p in range(4, 13):
             enc = boson_block_encode(L, 2 ** p)
             assert enc.measured_error <= enc.error_bound + 1e-15
+
+
+def looped_sign_table(lam, capital_lambda, capital_xi):
+    """The sample-by-sample count the closed form replaces."""
+    target = (lam + 1) % capital_lambda
+    minus = 0
+    for xi in range(capital_xi):
+        u = 2 * xi - capital_xi
+        if u > 0 and u * u * (capital_lambda - 1) > capital_xi * capital_xi * target:
+            minus += 1
+    return minus
+
+
+@pytest.mark.parametrize("capital_lambda,xis", [
+    (L, range(2, 65)) for L in range(2, 13)] + [
+    (L, [2 ** k for k in range(1, 12)]) for L in (16, 32, 64)])
+def test_sign_count_equals_the_sample_loop(capital_lambda, xis):
+    for xi in xis:
+        for lam in range(capital_lambda):
+            assert _sign_table(lam, capital_lambda, xi) == \
+                looped_sign_table(lam, capital_lambda, xi), (lam, xi)
+
+
+def test_largest_accepted_xi_encodes_in_under_a_second():
+    start = time.perf_counter()
+    enc = boson_block_encode(8, 2 ** 30)
+    assert time.perf_counter() - start < 1.0
+    assert enc.measured_error <= enc.error_bound
 
 
 def test_boson_block_shape_and_target():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bosonsim.encodings import (
     FockSpace,
@@ -97,6 +99,38 @@ def test_isometry_columns_orthonormal():
     # the row selection V = I[:, rows] has orthonormal columns
     V = np.eye(2 ** layout.total_qubits)[:, rows]
     assert np.allclose(V.conj().T @ V, np.eye(d))
+
+
+REGISTER_SPECS = st.one_of(
+    st.sampled_from([{"kind": "spin"}, {"kind": "fermion"}]),
+    st.builds(lambda enc, cutoff: {"kind": "boson", "encoding": enc, "cutoff": cutoff},
+              st.sampled_from(["unary", "binary"]), st.integers(1, 6)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(specs=st.lists(REGISTER_SPECS, min_size=1, max_size=4))
+def test_encoded_rows_are_distinct_qubit_states(specs):
+    layout = RegisterLayout.build(specs)
+    rows = layout.encoded_rows()
+    assert rows.shape == (math.prod(layout.fock_dims),)
+    assert len(set(rows.tolist())) == rows.size
+    assert 0 <= rows.min() and rows.max() < 2 ** layout.total_qubits
+
+
+@settings(max_examples=20, deadline=None)
+@given(Nb=st.integers(1, 9))
+def test_unary_and_binary_ladders_agree_at_any_cutoff(Nb):
+    # binary rounds the cutoff up, so compare on the occupations 0..Nb both hold
+    unary = RegisterLayout.build([{"kind": "boson", "encoding": "unary", "cutoff": Nb}])
+    binary = RegisterLayout.build([{"kind": "boson", "encoding": "binary", "cutoff": Nb}])
+    ru = unary.encoded_rows()
+    rb = binary.encoded_rows()[:Nb + 1]
+    uo = boson_ops_unary(Nb)
+    bo = boson_ops_binary(binary.total_qubits)
+    for key in ("creation", "annihilation", "number"):
+        a = uo[key].to_matrix()[np.ix_(ru, ru)]
+        b = bo[key].to_matrix()[np.ix_(rb, rb)]
+        assert np.max(np.abs(a - b)) < 1e-12, key
 
 
 def test_embed_places_identity_elsewhere():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bosonsim import pauli
 from bosonsim.encodings import boson_ops_binary, boson_ops_unary
 from bosonsim.errors import ParameterError
 from bosonsim.models import (
@@ -91,6 +92,25 @@ def test_identification_defect_holstein(boundary):
     p = HolsteinParams(n_sites=3, v=1.0, omega=0.8, g=0.5, Nb=1,
                        boundary=boundary)
     assert build_holstein(p).identification_defect() < 1e-10
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_bose_hubbard(BoseHubbardParams(n_sites=2, t=0.7, U=1.3, V=0.2, mu=0.4, Nb=3)),
+    lambda: build_spin_boson(SpinBosonParams(delta=0.9, epsilon=0.3, omegas=(1.0,),
+                                             couplings=(0.2,), cutoffs=(3,))),
+    lambda: build_holstein(HolsteinParams(n_sites=3, v=1.0, omega=0.8, g=0.5, Nb=1)),
+], ids=["bose_hubbard", "spin_boson", "holstein"])
+def test_reversed_pauli_matrices_fail_identification(build, monkeypatch):
+    """The Fock oracle, not the Pauli matrices, decides the defect."""
+    model = build()
+    assert model.identification_defect() < 1e-10
+    right = pauli.PauliTerm.to_matrix
+
+    def reversed_qubits(self):
+        return right(pauli.PauliTerm(self.letters[::-1], self.coefficient))
+
+    monkeypatch.setattr(pauli.PauliTerm, "to_matrix", reversed_qubits)
+    assert model.identification_defect() >= 1e-10
 
 
 def test_holstein_pairs_boundary():

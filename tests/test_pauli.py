@@ -10,7 +10,6 @@ from bosonsim.pauli import (
     PauliSum,
     PauliTerm,
     ladder,
-    mul,
     outer_1q,
     projector,
 )
@@ -20,6 +19,13 @@ X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]])
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 MATS = {"I": I2, "X": X, "Y": Y, "Z": Z}
+
+
+def product(a, b):
+    """The single term of the product of two Pauli strings, phase folded in."""
+    (t,) = (PauliSum.from_term(a.letters, a.coefficient)
+            * PauliSum.from_term(b.letters, b.coefficient)).terms
+    return t
 
 
 def dense(letters):
@@ -32,7 +38,7 @@ def dense(letters):
 def test_single_qubit_products_reproduce_matrix_algebra():
     for a in "IXYZ":
         for b in "IXYZ":
-            t = mul(PauliTerm(a, 1.0), PauliTerm(b, 1.0))
+            t = product(PauliTerm(a, 1.0), PauliTerm(b, 1.0))
             assert np.allclose(t.to_matrix(), MATS[a] @ MATS[b])
 
 
@@ -57,14 +63,18 @@ def test_mul_equals_the_letter_by_letter_table_fold(pair):
     for la, lb in zip(a, b):
         ph, lc = PRODUCT_TABLE[la, lb]
         phase, letters = phase * ph, letters + lc
-    t = mul(PauliTerm(a, 1.0), PauliTerm(b, 1.0))
+    t = product(PauliTerm(a, 1.0), PauliTerm(b, 1.0))
     assert (t.letters, t.coefficient) == (letters, phase)
 
 
-def pauli_sums(n):
+def letter_maps(n, max_size=5):
     coeffs = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
     return st.dictionaries(st.text(alphabet="IXYZ", min_size=n, max_size=n), coeffs,
-                           max_size=5).map(lambda terms: PauliSum(terms, n))
+                           max_size=max_size)
+
+
+def pauli_sums(n):
+    return letter_maps(n).map(lambda terms: PauliSum(terms, n))
 
 
 @settings(max_examples=100, deadline=None)
@@ -91,10 +101,10 @@ def test_invalid_letters_are_rejected_on_construction(build):
 
 
 def test_multi_qubit_product_folds_phases():
-    t = mul(PauliTerm("XY", 1.0), PauliTerm("YX", 1.0))
+    t = product(PauliTerm("XY", 1.0), PauliTerm("YX", 1.0))
     assert t.letters == "ZZ"
     assert t.coefficient == pytest.approx(1.0)
-    t = mul(PauliTerm("XI", 2.0), PauliTerm("YI", 0.5))
+    t = product(PauliTerm("XI", 2.0), PauliTerm("YI", 0.5))
     assert t.letters == "ZI"
     assert t.coefficient == pytest.approx(1j)
 
@@ -153,6 +163,19 @@ def test_text_round_trip():
     assert again.terms == s.terms
 
 
+@settings(max_examples=200, deadline=None)
+@given(spec=st.integers(1, 14).flatmap(lambda n: st.tuples(st.just(n), letter_maps(n, 6))))
+def test_text_round_trips_in_sorted_letter_order(spec):
+    n, mapping = spec
+    s = PauliSum(mapping, n)
+    text = s.to_text()
+    assert PauliSum.from_text(text, n) == s
+    letters = [line.split()[2] for line in text.splitlines()]
+    assert letters == sorted(letters)
+    # the letters read back are the letters put in: the mask bit order holds
+    assert letters == sorted(k for k, v in mapping.items() if v != 0)
+
+
 def test_dense_limit_guard():
     with pytest.raises(CapacityError):
         PauliSum.from_term("I" * 15).to_matrix()
@@ -167,7 +190,7 @@ def test_masks_mark_x_and_z_parts_with_qubit_zero_most_significant():
 
 
 def test_masks_are_computed_on_first_use_only():
-    t = mul(PauliTerm("XY", 1.0), PauliTerm("ZZ", 2.0))
+    t = product(PauliTerm("XY", 1.0), PauliTerm("ZZ", 2.0))
     assert "x_mask" not in vars(t) and "z_mask" not in vars(t)
     t.to_matrix()
     assert "x_mask" in vars(t) and "z_mask" in vars(t)
