@@ -19,6 +19,9 @@ import numpy as np
 from .errors import DomainError, ParameterError
 
 
+MAX_XI = 2**48  # beyond it the 2/Ξ bound nears the block's rounding and can be exceeded
+
+
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
@@ -164,8 +167,8 @@ def boson_block_encode(capital_lambda: int, capital_xi: int) -> BosonBlockEncodi
     """
     if not _is_power_of_two(capital_lambda) or capital_lambda < 2:
         raise ParameterError("Λ must be a power of 2, at least 2")
-    if not _is_power_of_two(capital_xi) or capital_xi < 2:
-        raise ParameterError("Ξ must be a power of 2, at least 2")
+    if not _is_power_of_two(capital_xi) or not 2 <= capital_xi <= MAX_XI:
+        raise ParameterError("Ξ must be a power of 2 from 2 to 2**48")
     L, Xi = capital_lambda, capital_xi
     B = np.zeros((L, L))
     for lam in range(L):
@@ -176,9 +179,9 @@ def boson_block_encode(capital_lambda: int, capital_xi: int) -> BosonBlockEncodi
 
 
 def choose_xi(delta: float) -> int:
-    """Smallest power of 2 with 2/Ξ ≤ δ."""
-    if delta <= 0:
-        raise ParameterError("delta must be positive")
+    """Smallest power of 2 with 2/Ξ ≤ δ; no accepted Ξ meets δ < 2/MAX_XI."""
+    if not delta >= 2.0 / MAX_XI:
+        raise ParameterError(f"delta={delta} is below 2/2**48, the bound at the largest Ξ")
     xi = 2
     while 2.0 / xi > delta:
         xi *= 2

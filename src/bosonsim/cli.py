@@ -22,7 +22,7 @@ import numpy as np
 from . import dynamics, models
 from .encodings import FockSpace, occupation_sector
 from .errors import BosonSimError, ConvergenceError, ParameterError
-from .pauli import PauliSum, PauliTerm
+from .pauli import PauliSum
 
 _FLOAT = "{:.17g}"
 
@@ -45,24 +45,17 @@ def emit_csv(path, header, rows):
     _write(path, buf.getvalue())
 
 
-def _jsonable(x):
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x.tolist()]
-    if isinstance(x, (np.floating,)):
-        return float(x)
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, complex):
+def _json_value(x):
+    """The JSON form of a complex number or numpy value, which json cannot write."""
+    if isinstance(x, complex):  # numpy complex scalars included
         return {"re": x.real, "im": x.imag}
-    return x
+    if isinstance(x, (np.ndarray, np.generic)):
+        return x.tolist()
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 def emit_json(path, data):
-    _write(path, json.dumps(_jsonable(data), sort_keys=True, indent=2) + "\n")
+    _write(path, json.dumps(data, default=_json_value, sort_keys=True, indent=2) + "\n")
 
 
 def _write(path, text):
@@ -151,28 +144,23 @@ def cmd_compile(args):
 
 
 def _first_order_circuit(model, dt):
-    glists = []
-    n = model.layout.total_qubits
+    """One step of e^{−iH dt} as the product of each term's e^{−i c P dt}."""
+    gates = []
     for term in dynamics.require_hermitian_terms(model.pauli.terms):
-        c = term.coefficient
-        if set(term.letters) == {"I"}:
-            continue
-        unit = PauliTerm(term.letters, 1.0)
-        glists.append(dynamics.synthesize_pauli_exponential(unit, 2.0 * c * dt))
-    gates = [g for gl in glists for g in gl.gates]
-    phase = sum(gl.phase for gl in glists)
-    return dynamics.GateList(n, tuple(gates), phase)
+        if set(term.letters) != {"I"}:  # an identity string is only a global phase
+            gates += dynamics.synthesize_pauli_exponential(
+                term.letters, 2.0 * term.coefficient * dt).gates
+    return dynamics.GateList(model.layout.total_qubits, tuple(gates))
 
 
 def cmd_evolve(args):
     model = _load_model(args.model)
-    terms = dynamics.require_hermitian_terms(model.pauli.terms)
     H = model.pauli.to_matrix()
     dim = H.shape[0]
     psi0 = np.zeros(dim, dtype=complex)
     psi0[_index(args.initial_basis_state, dim, "--initial-basis-state")] = 1.0
     exact = dynamics.evolve_exact(H, psi0, args.t)
-    approx = dynamics.trotter_evolve(terms, psi0, args.t, args.steps, args.order)
+    approx = dynamics.trotter_evolve(model.pauli.terms, psi0, args.t, args.steps, args.order)
     emit_json(args.out, {
         "t": args.t,
         "steps": args.steps,
@@ -383,9 +371,9 @@ def _st_identification(encoding):
 
 
 def _st_dynamics():
-    term = PauliTerm("XY", 1.0)
-    U = dynamics.synthesize_pauli_exponential(term, 0.37).unitary()
-    return _max_abs(U, dynamics.expm_hermitian(term.to_matrix(), -0.5j * 0.37)), 1e-12
+    U = dynamics.synthesize_pauli_exponential("XY", 0.37).unitary()
+    P = PauliSum.from_term("XY").to_matrix()
+    return _max_abs(U, dynamics.expm_hermitian(P, -0.5j * 0.37)), 1e-12
 
 
 def _st_open_systems():

@@ -9,7 +9,6 @@ S X S† = Y).
 
 from __future__ import annotations
 
-import io
 import math
 import re
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError, ParameterError
-from .pauli import PauliTerm
+from .pauli import PauliTerm, require_letters
 
 HERMITIAN_TOL = 1e-10  # relative to max(1, largest entry or coefficient)
 
@@ -111,33 +110,52 @@ def trotter_steps_for(K: np.ndarray, V: np.ndarray, t: float, eps: float) -> int
     """Smallest step count with first-order bound ≤ ε: ⌈‖[K,V]‖t²/(2ε)⌉."""
     if eps <= 0:
         raise ParameterError("eps must be positive")
-    comm = np.asarray(K) @ np.asarray(V) - np.asarray(V) @ np.asarray(K)
-    n = math.ceil(np.linalg.norm(comm, 2) * t * t / (2.0 * eps))
-    return max(1, n)
+    return max(1, math.ceil(trotter_error_bound(K, V, t, 1) / eps))
 
 
 # ---------------------------------------------------------------------------
 # Gate lists and Pauli-exponential synthesis
 # ---------------------------------------------------------------------------
 
-_GATE_ARITY = {"h": 1, "s": 1, "sdg": 1, "x": 1, "rz": 1, "ry": 1, "cx": 2}
-
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-_S = np.diag([1.0, 1.0j])
 _X1 = np.array([[0, 1], [1, 0]], dtype=complex)
+
+# name -> (qubit count, 2×2 matrix); a rotation's matrix is a function of its
+# angle, and cx has none: GateList.unitary applies it as a row permutation
+_GATES = {
+    "h": (1, np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)),
+    "s": (1, np.diag([1.0, 1.0j])),
+    "sdg": (1, np.diag([1.0, -1.0j])),
+    "x": (1, _X1),
+    "rz": (1, lambda angle: np.diag([np.exp(-0.5j * angle), np.exp(0.5j * angle)])),
+    "ry": (1, lambda angle: np.array([[math.cos(angle / 2), -math.sin(angle / 2)],
+                                      [math.sin(angle / 2), math.cos(angle / 2)]])),
+    "cx": (2, None),
+}
 
 
 @dataclass(frozen=True)
 class Gate:
+    """One gate of the ``_GATES`` table; a rotation carries a finite angle."""
+
     name: str
     qubits: tuple[int, ...]
     param: float | None = None
 
     def __post_init__(self):
-        if self.name not in _GATE_ARITY:
+        if self.name not in _GATES:
             raise ParameterError(f"unsupported gate {self.name!r}")
-        if len(self.qubits) != _GATE_ARITY[self.name]:
-            raise ParameterError(f"{self.name} expects {_GATE_ARITY[self.name]} qubit(s)")
+        arity, matrix = _GATES[self.name]
+        if len(self.qubits) != arity:
+            raise ParameterError(f"{self.name} expects {arity} qubit(s)")
+        if callable(matrix) != (self.param is not None):
+            raise ParameterError(f"{self.name} takes {'an' if callable(matrix) else 'no'} angle")
+        if self.param is not None and not math.isfinite(self.param):
+            raise ParameterError(f"{self.name} angle {self.param} is not finite")
+
+
+def _require_on_register(gate: Gate, n_qubits: int):
+    if not all(0 <= q < n_qubits for q in gate.qubits):
+        raise ParameterError(f"qubits {gate.qubits} outside circuit of width {n_qubits}")
 
 
 @dataclass(frozen=True)
@@ -152,99 +170,86 @@ class GateList:
     gates: tuple[Gate, ...] = ()
     phase: float = 0.0
 
-    @staticmethod
-    def _single(gate: Gate) -> np.ndarray:
-        if gate.name == "h":
-            return _H
-        if gate.name == "s":
-            return _S
-        if gate.name == "sdg":
-            return _S.conj().T
-        if gate.name == "x":
-            return _X1
-        if gate.name == "rz":
-            return np.diag([np.exp(-0.5j * gate.param), np.exp(0.5j * gate.param)])
-        c, s = math.cos(gate.param / 2), math.sin(gate.param / 2)  # ry
-        return np.array([[c, -s], [s, c]], dtype=complex)
-
     def unitary(self) -> np.ndarray:
         """The dense unitary, each gate applied to the rows of the product so far."""
         dim = 2**self.n_qubits
         U = np.eye(dim, dtype=complex) * np.exp(1.0j * self.phase)
         rows = np.arange(dim)
         for gate in self.gates:
-            for q in gate.qubits:
-                if not 0 <= q < self.n_qubits:
-                    raise ParameterError(f"qubit {q} outside circuit of width {self.n_qubits}")
-            if gate.name == "cx":  # rows with the control bit set swap across the target bit
+            _require_on_register(gate, self.n_qubits)
+            matrix = _GATES[gate.name][1]
+            if matrix is None:  # cx: rows with the control bit set swap across the target bit
                 c, t = (1 << (self.n_qubits - 1 - q) for q in gate.qubits)
                 U = U[np.where(rows & c, rows ^ t, rows)]
             else:  # axis 1 of the reshape is qubit q's bit of the row index
+                m = matrix if gate.param is None else matrix(gate.param)
                 q = gate.qubits[0]
-                U = (self._single(gate) @ U.reshape(2**q, 2, -1)).reshape(dim, dim)
+                U = (m @ U.reshape(2**q, 2, -1)).reshape(dim, dim)
         return U
 
     # -- OpenQASM-2.0 subset ---------------------------------------------
     def to_qasm(self) -> str:
-        out = io.StringIO()
-        out.write("OPENQASM 2.0;\n")
-        out.write('include "qelib1.inc";\n')
+        lines = ["OPENQASM 2.0;", 'include "qelib1.inc";']
         if self.phase:
-            out.write(f"// global-phase {self.phase!r}\n")
-        out.write(f"qreg q[{self.n_qubits}];\n")
+            lines.append(f"// global-phase {self.phase!r}")
+        lines.append(f"qreg q[{self.n_qubits}];")
         for g in self.gates:
             if g.param is not None:
-                out.write(f"{g.name}({g.param!r}) q[{g.qubits[0]}];\n")
+                lines.append(f"{g.name}({g.param!r}) q[{g.qubits[0]}];")
             elif g.name == "cx":
-                out.write(f"cx q[{g.qubits[0]}],q[{g.qubits[1]}];\n")
+                lines.append(f"cx q[{g.qubits[0]}],q[{g.qubits[1]}];")
             else:
-                out.write(f"{g.name} q[{g.qubits[0]}];\n")
-        return out.getvalue()
+                lines.append(f"{g.name} q[{g.qubits[0]}];")
+        return "\n".join(lines) + "\n"
 
     @staticmethod
     def from_qasm(text: str) -> "GateList":
+        """Read the subset ``to_qasm`` writes; the register is declared before any gate."""
         n_qubits, phase, gates = None, 0.0, []
-        for raw in text.splitlines():
+        for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()
-            if not line or line.startswith("OPENQASM") or line.startswith("include"):
-                continue
-            if line.startswith("// global-phase"):
-                phase = float(line.split()[-1])
-                continue
-            if line.startswith("//"):
-                continue
-            m = re.fullmatch(r"qreg\s+q\[(\d+)\];", line)
-            if m:
-                n_qubits = int(m.group(1))
-                continue
-            m = re.fullmatch(r"(\w+)(?:\(([^)]+)\))?\s+(.+);", line)
-            if not m:
-                raise ParameterError(f"cannot parse QASM line: {raw!r}")
-            name, param, args = m.group(1), m.group(2), m.group(3)
-            qubits = tuple(int(q) for q in re.findall(r"q\[(\d+)\]", args))
-            gates.append(Gate(name, qubits, float(param) if param else None))
+            try:
+                if line.startswith("// global-phase"):
+                    phase = float(line.split()[-1])
+                    if not math.isfinite(phase):
+                        raise ParameterError("global phase is not finite")
+                elif not line or line.startswith(("OPENQASM", "include", "//")):
+                    continue
+                elif m := re.fullmatch(r"qreg\s+q\[(\d+)\];", line):
+                    n_qubits = int(m.group(1))
+                elif not (m := re.fullmatch(r"(\w+)(?:\((.*)\))? (q\[\d+\](?:,q\[\d+\])*);", line)):
+                    raise ParameterError("cannot parse QASM line")
+                elif n_qubits is None:
+                    raise ParameterError("QASM text lacks a qreg declaration before its gates")
+                else:
+                    name, param, args = m.groups()
+                    gate = Gate(name, tuple(map(int, re.findall(r"\d+", args))),
+                                None if param is None else float(param))
+                    _require_on_register(gate, n_qubits)
+                    gates.append(gate)
+            except ValueError as exc:  # ParameterError, or an angle float() cannot read
+                raise ParameterError(f"line {lineno} {raw!r}: {exc}") from exc
         if n_qubits is None:
             raise ParameterError("QASM text lacks a qreg declaration")
         return GateList(n_qubits, tuple(gates), phase)
 
 
-def synthesize_pauli_exponential(term: PauliTerm, theta: float) -> GateList:
-    """Gate list realizing e^{−i(θ/2)·P} for a unit-coefficient Pauli string P."""
+def synthesize_pauli_exponential(letters: str, theta: float) -> GateList:
+    """Gate list realizing e^{−i(θ/2)·P} for the Pauli string P with these letters.
+
+    The identity string needs no gates: its list carries the phase −θ/2.
+    """
     if not math.isfinite(theta):
         raise ParameterError(f"rotation angle theta={theta} is not finite")
-    if term.coefficient == 0:
-        raise ParameterError("zero-coefficient term has no synthesis target")
-    if abs(term.coefficient - 1.0) > 1e-12:
-        raise ParameterError("term must have unit coefficient")
-    n = term.qubit_count
-    involved = [q for q, letter in enumerate(term.letters) if letter != "I"]
+    require_letters(letters)
+    n = len(letters)
+    involved = [q for q, letter in enumerate(letters) if letter != "I"]
     if not involved:
-        # identity string: pure global phase
         return GateList(n, (), -theta / 2.0)
     pre: list[Gate] = []
     post: list[Gate] = []
     for q in involved:
-        letter = term.letters[q]
+        letter = letters[q]
         if letter == "X":
             pre.append(Gate("h", (q,)))
             post.append(Gate("h", (q,)))

@@ -18,6 +18,8 @@ import numpy as np
 from .dynamics import require_hermitian
 from .errors import ConvergenceError, DomainError, ParameterError
 
+SAMPLE_EVERY = 10  # ds steps between the samples wegner_flow returns
+
 
 def wegner_generator(H: np.ndarray) -> np.ndarray:
     """G = [diag(H), H]: G_ij = h_ij (d_i − d_j), anti-Hermitian, zero diagonal."""
@@ -43,13 +45,12 @@ def _off_norm(H: np.ndarray):
     return np.linalg.norm(H * (1 - np.eye(H.shape[-1])), axis=(-2, -1))
 
 
-def wegner_flow(H0: np.ndarray, ds: float | None = None, s_max: float = 50.0,
-                sample_every: int = 10):
+def wegner_flow(H0: np.ndarray, ds: float | None = None, s_max: float = 50.0):
     """DOP853 integration of dH/ds = [[diag H, H], H] until off-diagonal decay.
 
     A terminal event stops the flow where the off-diagonal Frobenius norm
     falls to 1e-6·‖H0‖_F.  Returns the re-Hermitized FlowState at
-    s = 0, at every s_k = k·sample_every·ds before that point (read from
+    s = 0, at every s_k = k·SAMPLE_EVERY·ds before that point (read from
     the dense output: ``ds`` only spaces the samples) and at the stop.
     A stalled flow (degenerate diagonal with surviving coupling) raises
     ConvergenceError carrying the trajectory up to s_max for inspection.
@@ -86,7 +87,7 @@ def wegner_flow(H0: np.ndarray, ds: float | None = None, s_max: float = 50.0,
                     dense_output=True, rtol=1e-10, atol=1e-12 * norm0)
     done = sol.status == 1
     s_end = sol.t_events[0][0] if done else sol.t[-1]
-    grid = np.arange(sample_every, s_end / ds + sample_every, sample_every) * ds
+    grid = np.arange(SAMPLE_EVERY, s_end / ds + SAMPLE_EVERY, SAMPLE_EVERY) * ds
     s = np.concatenate([[0.0], grid[grid < s_end], [s_end]])
     Hs = sol.sol(s).T.reshape(-1, n, n)
     Hs = (Hs + Hs.conj().swapaxes(1, 2)) / 2.0

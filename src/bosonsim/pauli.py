@@ -29,7 +29,8 @@ _Z_BITS = str.maketrans("IXYZ", "0011")
 _I_POWERS = (1, 1j, -1, -1j)
 
 
-def _require_letters(letters: str):
+def require_letters(letters: str):
+    """ParameterError unless every letter is one of I, X, Y, Z."""
     if letters.translate(_NOT_PAULI):
         raise ParameterError(
             f"invalid Pauli letters: {sorted(set(letters.translate(_NOT_PAULI)))}")
@@ -57,7 +58,7 @@ class PauliTerm:
     coefficient: complex
 
     def __post_init__(self):
-        _require_letters(self.letters)
+        require_letters(self.letters)
 
     @property
     def qubit_count(self) -> int:
@@ -117,7 +118,7 @@ class PauliSum:
             if len(letters) != qubit_count:
                 raise DimensionError(
                     f"term {letters!r} has {len(letters)} letters, expected {qubit_count}")
-        _require_letters("".join(terms))
+        require_letters("".join(terms))
         self._n = qubit_count
         self._terms = _nonzero(
             {(_mask(k, _X_BITS), _mask(k, _Z_BITS)): v for k, v in terms.items()})
@@ -225,11 +226,10 @@ class PauliSum:
     def adjoint(self) -> "PauliSum":
         return PauliSum._of({k: v.conjugate() for k, v in self._terms.items()}, self._n)
 
-    def simplify(self, tol: float = PRUNE_TOL) -> "PauliSum":
-        """Prune |coeff| <= tol (like terms are always merged)."""
-        if tol < 0:
-            raise ParameterError("tol must be non-negative")
-        return PauliSum._of({k: v for k, v in self._terms.items() if abs(v) > tol}, self._n)
+    def simplify(self) -> "PauliSum":
+        """Prune terms with |coeff| <= PRUNE_TOL (like terms are always merged)."""
+        return PauliSum._of({k: v for k, v in self._terms.items() if abs(v) > PRUNE_TOL},
+                            self._n)
 
     def to_matrix(self) -> np.ndarray:
         if self._n > DENSE_LIMIT:
@@ -254,6 +254,8 @@ class PauliSum:
             if not line:
                 continue
             parts = line.split()
+            if len(parts) == 2 and not n:  # the 0-qubit string has no letters
+                parts.append("")
             if len(parts) != 3:
                 raise ParameterError(f"line {lineno}: expected 're im LETTERS'")
             re_s, im_s, letters = parts

@@ -225,8 +225,7 @@ def test_synthesis_exact_for_every_word_up_to_four_letters():
     for width in (2, 3, 4):
         for letters in itertools.product("IXYZ", repeat=width):
             word = "".join(letters)
-            gl = dynamics.synthesize_pauli_exponential(
-                PauliTerm(word, 1.0), delta)
+            gl = dynamics.synthesize_pauli_exponential(word, delta)
             target = expm(-0.5j * delta * PauliTerm(word, 1.0).to_matrix())
             assert np.max(np.abs(gl.unitary() - target)) < 1e-12, word
 

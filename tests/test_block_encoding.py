@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bosonsim.block_encoding import (
+    MAX_XI,
     _sign_table,
     boson_block_encode,
     choose_xi,
@@ -126,9 +127,22 @@ def test_sign_count_equals_the_sample_loop(capital_lambda, xis):
 
 def test_largest_accepted_xi_encodes_in_under_a_second():
     start = time.perf_counter()
-    enc = boson_block_encode(8, 2 ** 30)
+    enc = boson_block_encode(8, MAX_XI)
     assert time.perf_counter() - start < 1.0
     assert enc.measured_error <= enc.error_bound
+
+
+def test_xi_above_two_to_the_48_is_refused():
+    assert MAX_XI == 2 ** 48
+    with pytest.raises(ParameterError, match="Ξ must be a power of 2"):
+        boson_block_encode(8, 2 * MAX_XI)
+
+
+@pytest.mark.parametrize("capital_lambda", [2 ** k for k in range(1, 9)])
+def test_measured_error_within_bound_at_every_accepted_xi(capital_lambda):
+    for k in range(1, 49):
+        enc = boson_block_encode(capital_lambda, 2 ** k)
+        assert enc.measured_error <= enc.error_bound, k
 
 
 def test_boson_block_shape_and_target():
@@ -173,5 +187,7 @@ def test_choose_xi_boundaries():
     assert choose_xi(0.01) == 256
     assert choose_xi(1.0) == 2
     assert choose_xi(2 / 256) == 256
-    with pytest.raises(ParameterError):
-        choose_xi(0.0)
+    assert choose_xi(2 / MAX_XI) == MAX_XI
+    for delta in (0.0, 1.99 / MAX_XI, math.nan):
+        with pytest.raises(ParameterError):
+            choose_xi(delta)

@@ -485,6 +485,14 @@ def test_blockenc_rejects_bad_cutoff(capsys):
     assert run(["blockenc", "--cutoff", "5", "--xi", "64"]) == 2
 
 
+def test_blockenc_accepts_xi_up_to_two_to_the_48(tmp_path, capsys):
+    out = tmp_path / "be.json"
+    assert run(["blockenc", "--xi", str(2 ** 48), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["Xi"] == 2 ** 48
+    assert run(["blockenc", "--xi", str(2 ** 49)]) == 2
+    assert "Ξ must be a power of 2 from 2 to 2**48" in capsys.readouterr().err
+
+
 def test_prep_report(tmp_path):
     out = tmp_path / "prep.json"
     assert run(["prep", "--scheme", "B", "--out", str(out)]) == 0

@@ -143,36 +143,34 @@ def test_synthesis_matches_exponential_for_all_words():
     for width in (2, 3):
         for letters in itertools.product("XYZ", repeat=width):
             term = PauliTerm("".join(letters), 1.0)
-            gl = synthesize_pauli_exponential(term, delta)
+            gl = synthesize_pauli_exponential(term.letters, delta)
             target = expm(-0.5j * delta * term.to_matrix())
             assert np.max(np.abs(gl.unitary() - target)) < 1e-12
 
 
 def test_synthesis_interleaved_identity_and_pure_identity():
-    term = PauliTerm("XIZY", 1.0)
-    gl = synthesize_pauli_exponential(term, 0.21)
-    target = expm(-0.5j * 0.21 * term.to_matrix())
+    gl = synthesize_pauli_exponential("XIZY", 0.21)
+    target = expm(-0.5j * 0.21 * PauliTerm("XIZY", 1.0).to_matrix())
     assert np.max(np.abs(gl.unitary() - target)) < 1e-12
-    ident = synthesize_pauli_exponential(PauliTerm("II", 1.0), 0.5)
+    ident = synthesize_pauli_exponential("II", 0.5)
     assert len(ident.gates) == 0
     assert np.allclose(ident.unitary(), np.exp(-0.25j) * np.eye(4))
 
 
-def test_synthesis_requires_unit_coefficient():
-    with pytest.raises(ParameterError):
-        synthesize_pauli_exponential(PauliTerm("XX", 2.0), 0.1)
+def test_synthesis_rejects_letters_outside_ixyz():
+    with pytest.raises(ParameterError, match="invalid Pauli letters"):
+        synthesize_pauli_exponential("XQ", 0.1)
 
 
 @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
 def test_synthesis_rejects_non_finite_angle(theta):
     for letters in ("XZ", "II"):
         with pytest.raises(ParameterError, match="not finite"):
-            synthesize_pauli_exponential(PauliTerm(letters, 1.0), theta)
+            synthesize_pauli_exponential(letters, theta)
 
 
 def test_qasm_round_trip_preserves_unitary():
-    term = PauliTerm("XYZ", 1.0)
-    gl = synthesize_pauli_exponential(term, 1.2345)
+    gl = synthesize_pauli_exponential("XYZ", 1.2345)
     again = GateList.from_qasm(gl.to_qasm())
     assert again.n_qubits == gl.n_qubits
     assert np.max(np.abs(again.unitary() - gl.unitary())) < 1e-12
@@ -226,6 +224,43 @@ def test_gate_arity_checked():
         Gate("cx", (0,), None)
     with pytest.raises(ParameterError):
         Gate("h", (0, 1), None)
+
+
+def test_qasm_round_trip_keeps_the_global_phase():
+    gl = GateList(2, (Gate("h", (0,)), Gate("rz", (1,), -0.75)), 0.3125)
+    text = gl.to_qasm()
+    assert "// global-phase 0.3125\n" in text
+    assert GateList.from_qasm(text) == gl
+
+
+QASM_HEAD = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n'
+
+
+@pytest.mark.parametrize("line, why", [
+    ("rz(inf) q[0];", "not finite"),
+    ("rz(nan) q[0];", "not finite"),
+    ("rz(1e400) q[0];", "not finite"),
+    ("rz(half) q[0];", "could not convert"),
+    ("// global-phase nan", "global phase is not finite"),
+    ("h q[5];", "outside circuit of width 2"),
+    ("h q[0] junk;", "cannot parse QASM line"),
+    ("rz q[0];", "rz takes an angle"),
+    ("h(0.3) q[0];", "h takes no angle"),
+    ("cx q[0];", "cx expects 2 qubit"),
+    ("ccx q[0],q[1],q[1];", "unsupported gate 'ccx'"),
+])
+def test_qasm_reader_rejects_what_it_cannot_mean_and_names_the_line(line, why):
+    text = QASM_HEAD + "h q[1];\n" + line + "\n"
+    with pytest.raises(ParameterError, match=why) as err:
+        GateList.from_qasm(text)
+    assert f"line 5 {line!r}" in str(err.value)
+
+
+def test_qasm_reader_needs_the_register_first():
+    with pytest.raises(ParameterError, match="lacks a qreg declaration"):
+        GateList.from_qasm('OPENQASM 2.0;\ninclude "qelib1.inc";\n')
+    with pytest.raises(ParameterError, match="lacks a qreg declaration"):
+        GateList.from_qasm("h q[0];\nqreg q[1];\n")
 
 
 def test_anticommutator_gadget():

@@ -5,6 +5,7 @@ import pytest
 
 from bosonsim.errors import ConvergenceError, DomainError, ParameterError
 from bosonsim.flows import (
+    SAMPLE_EVERY,
     bogoliubov_2site,
     pairing_block,
     wegner_flow,
@@ -66,7 +67,8 @@ def test_flow_monotone_sum_of_squares_rate():
     rng = np.random.default_rng(2)
     A = rng.normal(size=(5, 5))
     H0 = (A + A.T) / 2
-    traj = wegner_flow(H0, s_max=300.0, sample_every=5)
+    # samples 5 default steps apart: SAMPLE_EVERY steps of half the default ds
+    traj = wegner_flow(H0, ds=0.005 / np.linalg.norm(H0) ** 2, s_max=300.0)
     for prev, nxt in zip(traj[:-2:10], traj[1:-1:10]):
         ds = nxt.s - prev.s
         if ds <= 0:
@@ -90,8 +92,8 @@ def test_flow_samples_on_fixed_grid_and_stops_at_tolerance():
     rng = np.random.default_rng(4)
     A = rng.normal(size=(5, 5))
     H0 = (A + A.T) / 2
-    ds, every = 3e-3, 7
-    traj = wegner_flow(H0, ds=ds, s_max=300.0, sample_every=every)
+    ds, every = 2.1e-3, SAMPLE_EVERY
+    traj = wegner_flow(H0, ds=ds, s_max=300.0)
     tol = 1e-6 * np.linalg.norm(H0)
     assert len(traj) > 3
     for k, st in enumerate(traj[:-1]):

@@ -28,6 +28,17 @@ def test_package_import_leaves_the_ode_integrator_and_optimizers_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_scipy_unloaded():
+    # subcommands import scipy when they run: under -X importtime,
+    # scipy.sparse.linalg alone took 0.57 s with numpy (2-core VM), which every
+    # CLI process would otherwise pay at start-up
+    env = dict(os.environ, PYTHONPATH=str(Path(bosonsim.__file__).resolve().parents[1]))
+    code = "import sys, bosonsim.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
 def test_every_name_the_bench_tracer_wraps_exists():
     # the tracer swaps these attributes in place, so a renamed or deleted one
     # would crash a traced bench run; the file is read and run here, never written
