@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -450,7 +451,9 @@ _SELFTESTS = {
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
+    """The parser, built on first use and shared: parsing never changes it."""
     p = argparse.ArgumentParser(
         prog="bosonsim",
         description="Bosonic simulation workbench: encodings, dynamics, "

@@ -9,14 +9,15 @@ S X S† = Y).
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, ParameterError
-from .pauli import PauliTerm, require_letters
+from .errors import CapacityError, DimensionError, DomainError, ParameterError
+from .pauli import DENSE_LIMIT, PauliTerm, require_letters
 
 HERMITIAN_TOL = 1e-10  # relative to max(1, largest entry or coefficient)
 
@@ -153,9 +154,15 @@ class Gate:
             raise ParameterError(f"{self.name} angle {self.param} is not finite")
 
 
-def _require_on_register(gate: Gate, n_qubits: int):
-    if not all(0 <= q < n_qubits for q in gate.qubits):
-        raise ParameterError(f"qubits {gate.qubits} outside circuit of width {n_qubits}")
+def _require_on_register(qubits: tuple[int, ...], n_qubits: int):
+    if not all(0 <= q < n_qubits for q in qubits):
+        raise ParameterError(f"qubits {qubits} outside circuit of width {n_qubits}")
+
+
+@functools.cache
+def _fixed_gate(name: str, qubits: tuple[int, ...]) -> Gate:
+    """The one validated angle-free gate on these qubits; frozen, so safe to share."""
+    return Gate(name, qubits)
 
 
 @dataclass(frozen=True)
@@ -170,13 +177,21 @@ class GateList:
     gates: tuple[Gate, ...] = ()
     phase: float = 0.0
 
+    def __post_init__(self):
+        # over the few distinct qubit tuples; a failure is named by its first gate
+        used = {q for qubits in {g.qubits for g in self.gates} for q in qubits}
+        if used and not 0 <= min(used) <= max(used) < self.n_qubits:
+            for g in self.gates:
+                _require_on_register(g.qubits, self.n_qubits)
+
     def unitary(self) -> np.ndarray:
         """The dense unitary, each gate applied to the rows of the product so far."""
+        if self.n_qubits > DENSE_LIMIT:
+            raise CapacityError(f"{self.n_qubits} qubits exceeds dense limit {DENSE_LIMIT}")
         dim = 2**self.n_qubits
         U = np.eye(dim, dtype=complex) * np.exp(1.0j * self.phase)
         rows = np.arange(dim)
         for gate in self.gates:
-            _require_on_register(gate, self.n_qubits)
             matrix = _GATES[gate.name][1]
             if matrix is None:  # cx: rows with the control bit set swap across the target bit
                 c, t = (1 << (self.n_qubits - 1 - q) for q in gate.qubits)
@@ -225,7 +240,7 @@ class GateList:
                     name, param, args = m.groups()
                     gate = Gate(name, tuple(map(int, re.findall(r"\d+", args))),
                                 None if param is None else float(param))
-                    _require_on_register(gate, n_qubits)
+                    _require_on_register(gate.qubits, n_qubits)
                     gates.append(gate)
             except ValueError as exc:  # ParameterError, or an angle float() cannot read
                 raise ParameterError(f"line {lineno} {raw!r}: {exc}") from exc
@@ -251,15 +266,15 @@ def synthesize_pauli_exponential(letters: str, theta: float) -> GateList:
     for q in involved:
         letter = letters[q]
         if letter == "X":
-            pre.append(Gate("h", (q,)))
-            post.append(Gate("h", (q,)))
+            pre.append(_fixed_gate("h", (q,)))
+            post.append(_fixed_gate("h", (q,)))
         elif letter == "Y":
             # conjugation by (S·H)† before / (S·H) after maps Z into Y
-            pre.extend([Gate("sdg", (q,)), Gate("h", (q,))])
-            post.extend([Gate("h", (q,)), Gate("s", (q,))])
+            pre.extend([_fixed_gate("sdg", (q,)), _fixed_gate("h", (q,))])
+            post.extend([_fixed_gate("h", (q,)), _fixed_gate("s", (q,))])
     target = involved[-1]
     stair = [
-        Gate("cx", (involved[i], involved[i + 1]))
+        _fixed_gate("cx", (involved[i], involved[i + 1]))
         for i in range(len(involved) - 1)
     ]
     gates = pre + stair + [Gate("rz", (target,), theta)] + stair[::-1] + post

@@ -580,3 +580,20 @@ def test_float_format_round_trips(tmp_path):
         for field in line.split(","):
             v = float(field)
             assert "{:.17g}".format(v) == field
+
+
+@pytest.mark.parametrize("command, flags, usage_error", [
+    ("xy", ["--n", "8", "--j", "2", "--gamma", "0.3", "--lam", "0.7"], ["--n", "six"]),
+    ("trunc", ["--t", "0.5,2", "--chi", "1", "--eps", "1e-2", "--modes", "2"],
+     ["--modes", "two"]),
+])
+def test_repeated_runs_in_one_process_share_no_state(command, flags, usage_error, capsys):
+    cli.build_parser.cache_clear()  # the default run below is the first on a new parser
+    assert run([command]) == 0
+    first = capsys.readouterr().out
+    for argv, code in [(flags, 0), (usage_error, 2), (["--selftest"], 0)]:
+        assert run([command, *argv]) == code
+        assert capsys.readouterr().out != first
+        assert run([command]) == 0
+        assert capsys.readouterr().out == first
+    assert cli.build_parser() is cli.build_parser()

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from bosonsim import dynamics
 from bosonsim.dynamics import (
     Gate,
     GateList,
@@ -18,12 +19,12 @@ from bosonsim.dynamics import (
     trotter_evolve,
     trotter_steps_for,
 )
-from bosonsim.errors import DimensionError, DomainError, ParameterError
+from bosonsim.errors import CapacityError, DimensionError, DomainError, ParameterError
 from bosonsim.flows import wegner_flow
 from bosonsim.ground_state import exact_diagonalize
 from bosonsim.models import (HolsteinParams, SpinBosonParams, build_holstein,
                              build_spin_boson)
-from bosonsim.pauli import PauliTerm
+from bosonsim.pauli import DENSE_LIMIT, PauliTerm
 
 
 def random_hermitian(rng, d):
@@ -167,6 +168,41 @@ def test_synthesis_rejects_non_finite_angle(theta):
     for letters in ("XZ", "II"):
         with pytest.raises(ParameterError, match="not finite"):
             synthesize_pauli_exponential(letters, theta)
+
+
+def test_synthesis_shares_its_fixed_gates():
+    a = synthesize_pauli_exponential("XYZ", 0.3)
+    b = synthesize_pauli_exponential("XYX", 0.7)
+    fixed = {(g.name, g.qubits): g for g in a.gates if g.name != "rz"}
+    common = [g for g in b.gates if (g.name, g.qubits) in fixed]
+    assert {"h", "sdg", "s", "cx"} == {g.name for g in common}
+    assert all(g is fixed[g.name, g.qubits] for g in common)
+    again = synthesize_pauli_exponential("XYZ", 0.3)
+    assert again == a
+    assert all((g is h) == (g.name != "rz") for g, h in zip(again.gates, a.gates))
+
+
+@pytest.mark.parametrize("name, qubits", [("cx", (0,)), ("h", (0, 1)), ("ccx", (0, 1, 2)),
+                                          ("rz", (0,))])
+def test_fixed_gate_cache_holds_only_validated_gates(name, qubits):
+    for _ in range(2):  # a refused gate is refused again, not served from the cache
+        with pytest.raises(ParameterError):
+            Gate(name, qubits)
+        with pytest.raises(ParameterError):
+            dynamics._fixed_gate(name, qubits)
+
+
+def test_gate_list_refuses_a_gate_off_its_register():
+    for qubits in [(3,), (-1,)]:
+        with pytest.raises(ParameterError, match="outside circuit of width 1"):
+            GateList(1, (Gate("h", qubits),))
+    with pytest.raises(ParameterError, match=r"qubits \(0, 2\) outside circuit of width 2"):
+        GateList(2, (Gate("h", (1,)), Gate("cx", (0, 2))))
+
+
+def test_gate_list_unitary_refuses_a_register_past_the_dense_limit():
+    with pytest.raises(CapacityError, match="exceeds dense limit"):
+        GateList(DENSE_LIMIT + 1, ()).unitary()
 
 
 def test_qasm_round_trip_preserves_unitary():
