@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError
+from .pauli import require_capacity
 
 
 MAX_XI = 2**48  # beyond it the 2/Ξ bound nears the block's rounding and can be exceeded
@@ -170,6 +171,8 @@ def boson_block_encode(capital_lambda: int, capital_xi: int) -> BosonBlockEncodi
     if not _is_power_of_two(capital_xi) or not 2 <= capital_xi <= MAX_XI:
         raise ParameterError("Ξ must be a power of 2 from 2 to 2**48")
     L, Xi = capital_lambda, capital_xi
+    # the block, and measured_error's target, difference and SVD copy
+    require_capacity((4, L, L), 8, "block encoding")
     B = np.zeros((L, L))
     for lam in range(L):
         minus = _sign_table(lam, L, Xi)

@@ -1,19 +1,18 @@
 """Command-line surface: deterministic data emission for every module.
 
 Exit codes: 0 success, 1 a --selftest check failed, 2 validation/usage
-error, 3 convergence failure, 4 I/O error.  CSV output follows RFC 4180
-with a header row; floats are printed with 17 significant digits so they
-round-trip exactly.  JSON output uses sorted keys.  Every subcommand
-accepts ``--selftest``: each module check reports its defect against the
-module's own oracle, and a defect above the check's bound (or NaN) exits 1.
+error, 3 convergence failure, 4 I/O error.  CSV output is a header row
+and comma-joined rows whose fields never need quoting; floats are printed
+with 17 significant digits so they round-trip exactly.  JSON output uses
+sorted keys.  Every subcommand accepts ``--selftest``: each module check
+reports its defect against the module's own oracle, and a defect above the
+check's bound (or NaN) exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import sys
@@ -23,27 +22,16 @@ import numpy as np
 from . import dynamics, models
 from .encodings import FockSpace, occupation_sector
 from .errors import BosonSimError, ConvergenceError, ParameterError
-from .pauli import PauliSum
+from .pauli import PauliSum, require_capacity
 
 _FLOAT = "{:.17g}"
 
 
-def _fmt(x):
-    if isinstance(x, float):
-        return _FLOAT.format(x)
-    if isinstance(x, complex):
-        return _FLOAT.format(x.real) + ("+" if x.imag >= 0 else "-") + \
-            _FLOAT.format(abs(x.imag)) + "j"
-    return x
-
-
 def emit_csv(path, header, rows):
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow([_fmt(v) for v in row])
-    _write(path, buf.getvalue())
+    lines = [",".join(header)]
+    lines += [",".join([_FLOAT.format(v) if isinstance(v, float) else str(v) for v in row])
+              for row in rows]
+    _write(path, "\n".join(lines) + "\n")
 
 
 def _json_value(x):
@@ -176,7 +164,10 @@ def cmd_walk(args):
     params = models.BoseHubbardParams(
         n_sites=args.sites, t=args.hop, U=args.U, V=args.V,
         mu=0.0, Nb=2)
-    # two bosons on the central site; b_q b_p reaches the sectors below
+    # two bosons on the central site; b_q b_p reaches the sectors below.  The
+    # command holds H, its eigenvectors, their adjoint and one annihilator per site.
+    dim = math.comb(args.sites + 2, 2)
+    require_capacity((args.sites + 3, dim, dim), 8, f"walk on {args.sites} sites")
     space = FockSpace(occupation_sector(args.sites, 2, bounded=True))
     occ = [0] * args.sites
     occ[args.sites // 2] = 2
@@ -193,6 +184,7 @@ def cmd_walk(args):
 def cmd_lindblad(args):
     from . import open_systems
     d = args.cutoff + 1
+    require_capacity((d * d, d * d), 16, "Liouvillian")
     b, bd, n = models.mode_matrices(args.cutoff)
     H = args.omega * n
     spec = open_systems.LindbladSpec(H, args.gamma_dephasing,
@@ -297,8 +289,7 @@ def cmd_prep(args):
         raise ParameterError("--c must be finite and not all zero")
     c = c / np.linalg.norm(c)
     plan = state_prep.plan_prep(c, args.scheme)
-    targets = [np.eye(len(c))[k] for k in range(len(c))]
-    sim = state_prep.simulate_prep(plan, targets)
+    sim = state_prep.simulate_prep(plan, np.eye(len(c)))
     emit_json(args.out, {
         "scheme": plan.scheme,
         "coefficients": [complex(v) for v in c],
@@ -314,6 +305,8 @@ def cmd_prep(args):
 
 def cmd_wegner(args):
     from . import flows
+    # A, H0, the flow's state and derivative and DOP853's 12 stages
+    require_capacity((16, args.dim, args.dim), 8, "Wegner flow")
     rng = np.random.default_rng(args.seed)
     A = rng.normal(size=(args.dim, args.dim))
     H0 = (A + A.T) / 2.0

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DimensionError, DomainError, ParameterError
-from .pauli import DENSE_LIMIT, PauliTerm, require_letters
+from .errors import DimensionError, DomainError, ParameterError
+from .pauli import PauliTerm, require_capacity, require_letters
 
 HERMITIAN_TOL = 1e-10  # relative to max(1, largest entry or coefficient)
 
@@ -76,6 +76,17 @@ def _factor(term, tau: float, dim: int):
     return lambda psi: a * psi + b * psi[src]
 
 
+def product_formula(factor, terms, dt: float, order: int) -> list:
+    """One step's factors in acting order: factor(term, dt) per term (order 1),
+    or factor(term, dt/2) per term, then the same in reverse (order 2)."""
+    if order not in (1, 2):
+        raise ParameterError("order must be 1 or 2")
+    if order == 1:
+        return [factor(term, dt) for term in terms]
+    half = [factor(term, 0.5 * dt) for term in terms]
+    return half + half[::-1]
+
+
 def trotter_evolve(terms, psi0: np.ndarray, t: float, n: int, order: int = 1) -> np.ndarray:
     """Apply the order-1 or symmetric order-2 product formula n times.
 
@@ -84,15 +95,9 @@ def trotter_evolve(terms, psi0: np.ndarray, t: float, n: int, order: int = 1) ->
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
-    if order not in (1, 2):
-        raise ParameterError("order must be 1 or 2")
     psi = np.asarray(psi0, dtype=complex)
-    dt = t / n
-    if order == 1:
-        seq = [_factor(term, dt, psi.shape[0]) for term in terms]
-    else:
-        half = [_factor(term, 0.5 * dt, psi.shape[0]) for term in terms]
-        seq = half + half[::-1]
+    seq = product_formula(lambda term, tau: _factor(term, tau, psi.shape[0]),
+                          terms, t / n, order)
     for _ in range(n):
         for apply in seq:
             psi = apply(psi)
@@ -186,8 +191,7 @@ class GateList:
 
     def unitary(self) -> np.ndarray:
         """The dense unitary, each gate applied to the rows of the product so far."""
-        if self.n_qubits > DENSE_LIMIT:
-            raise CapacityError(f"{self.n_qubits} qubits exceeds dense limit {DENSE_LIMIT}")
+        require_capacity((2**self.n_qubits,) * 2, 16, f"{self.n_qubits}-qubit unitary")
         dim = 2**self.n_qubits
         U = np.eye(dim, dtype=complex) * np.exp(1.0j * self.phase)
         rows = np.arange(dim)

@@ -129,14 +129,6 @@ class Register:
             return self.cutoff + 1
         return 2
 
-    def basis_index(self, occupation: int) -> int:
-        """Qubit-register basis index encoding the given occupation."""
-        if not 0 <= occupation < self.fock_dim:
-            raise ParameterError(f"occupation {occupation} out of range")
-        if self.kind == "boson" and self.encoding == "unary":
-            return 1 << (self.width - 1 - occupation)
-        return occupation
-
 
 @dataclass(frozen=True)
 class RegisterLayout:
@@ -190,14 +182,15 @@ class RegisterLayout:
 
         The identification V maps Fock state k to qubit state ``rows[k]``, a
         0/1 column selection, so V†MV is M restricted to these rows and columns.
+        A unary register writes occupation n as ``1 << (width − 1 − n)``, any
+        other register writes n itself.
         """
-        rows = []
-        for occs in self.fock_space().basis:
-            row = 0
-            for reg, occ in zip(self.registers, occs):
-                row = (row << reg.width) | reg.basis_index(occ)
-            rows.append(row)
-        return np.array(rows, dtype=np.int64)
+        occupations = self.fock_space().occupations
+        rows = np.zeros(len(occupations), dtype=np.int64)
+        for reg, occ in zip(self.registers, occupations.T):
+            code = 1 << (reg.width - 1 - occ) if reg.encoding == "unary" else occ
+            rows = (rows << reg.width) | code
+        return rows
 
 
 def embed(local_op: PauliSum, layout: RegisterLayout, register_id: int) -> PauliSum:

@@ -18,8 +18,9 @@ from itertools import chain
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import CapacityError, DimensionError, DomainError, ParameterError
-from .pauli import DENSE_LIMIT
+from .dynamics import product_formula
+from .errors import DimensionError, DomainError, ParameterError
+from .pauli import require_capacity
 
 
 @dataclass(frozen=True)
@@ -60,9 +61,7 @@ def build_liouvillian(spec: LindbladSpec) -> np.ndarray:
     Raises CapacityError before allocating when d² exceeds 2**DENSE_LIMIT.
     """
     d = spec.H.shape[0]
-    if d * d > 2 ** DENSE_LIMIT:
-        raise CapacityError(
-            f"Liouvillian of dimension {d}² = {d * d} exceeds dense limit 2**{DENSE_LIMIT}")
+    require_capacity((d * d, d * d), 16, "Liouvillian")
     H, b, n = (np.asarray(m, dtype=complex) for m in (spec.H, spec.b, spec.n))
     I = np.eye(d)
     bd = b.conj().T
@@ -142,14 +141,8 @@ def propagate_lindblad(L: np.ndarray, rho0: np.ndarray, t: float, dt: float = 1e
 
 def liouvillian_trotter_step(L_terms, dt: float, order: int = 1) -> np.ndarray:
     """One splitting step: ∏ e^{L_j dt} (order 1) or the palindromic product."""
-    if order not in (1, 2):
-        raise ParameterError("order must be 1 or 2")
     mats = [np.asarray(m, dtype=complex) for m in L_terms]
-    if order == 1:
-        seq = [expm(m * dt) for m in mats]
-    else:
-        half = [expm(m * dt / 2.0) for m in mats]
-        seq = half + half[::-1]
+    seq = product_formula(lambda m, tau: expm(m * tau), mats, dt, order)
     out = np.eye(mats[0].shape[0], dtype=complex)
     for U in seq:
         out = U @ out

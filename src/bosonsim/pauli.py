@@ -12,6 +12,7 @@ write them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
@@ -21,12 +22,21 @@ import numpy as np
 from .errors import CapacityError, DimensionError, ParameterError
 
 PRUNE_TOL = 1e-12
-DENSE_LIMIT = 14
+DENSE_LIMIT = 14  # qubits of the largest dense operator
 
 _NOT_PAULI = str.maketrans("", "", "IXYZ")  # deletes the valid letters
 _X_BITS = str.maketrans("IXYZ", "0110")
 _Z_BITS = str.maketrans("IXYZ", "0011")
 _I_POWERS = (1, 1j, -1, -1j)
+
+
+def require_capacity(shape, itemsize: int, what: str):
+    """CapacityError, before anything is allocated, if arrays of `shape` with
+    `itemsize`-byte entries would outgrow one 2**DENSE_LIMIT-row complex matrix."""
+    nbytes, limit = itemsize * math.prod(shape), 16 * 4**DENSE_LIMIT
+    if nbytes > limit:
+        raise CapacityError(f"{what} of shape {tuple(shape)} needs {nbytes} bytes, "
+                            f"which exceeds dense limit {limit}")
 
 
 def require_letters(letters: str):
@@ -90,8 +100,7 @@ class PauliTerm:
         return phase * psi[src]
 
     def to_matrix(self) -> np.ndarray:
-        if self.qubit_count > DENSE_LIMIT:
-            raise CapacityError(f"{self.qubit_count} qubits exceeds dense limit {DENSE_LIMIT}")
+        require_capacity((2**self.qubit_count,) * 2, 16, f"{self.qubit_count}-qubit matrix")
         src, phase = self.signed_permutation()
         m = np.zeros((src.size, src.size), dtype=complex)
         m[np.arange(src.size), src] = phase
@@ -232,8 +241,7 @@ class PauliSum:
                             self._n)
 
     def to_matrix(self) -> np.ndarray:
-        if self._n > DENSE_LIMIT:
-            raise CapacityError(f"{self._n} qubits exceeds dense limit {DENSE_LIMIT}")
+        require_capacity((2**self._n,) * 2, 16, f"{self._n}-qubit matrix")
         dim = 2 ** self._n
         out = np.zeros((dim, dim), dtype=complex)
         for (x, z), v in self._terms.items():  # insertion order fixes the rounding

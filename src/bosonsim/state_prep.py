@@ -98,8 +98,8 @@ def simulate_prep(plan: PrepPlan, basis_targets) -> dict:
     K = len(plan.coefficients)
     if len(phis) != K:
         raise ParameterError("need one target state per coefficient")
-    G = np.array([[np.vdot(a, b) for b in phis] for a in phis])
-    if np.max(np.abs(G - np.eye(K))) > 1e-10:
+    P = np.array(phis)
+    if np.max(np.abs(P.conj() @ P.T - np.eye(K))) > 1e-10:  # the Gram matrix
         raise DomainError("target states must be orthonormal")
 
     amps = ancilla_state(plan)

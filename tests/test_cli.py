@@ -493,6 +493,24 @@ def test_blockenc_accepts_xi_up_to_two_to_the_48(tmp_path, capsys):
     assert "Ξ must be a power of 2 from 2 to 2**48" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, what", [
+    # d⁴ complex entries; mode_matrices alone would ask for 7.28 TiB
+    (["lindblad", "--cutoff", "1000000"], "Liouvillian"),
+    # the 2**20 x 2**20 block alone is 8 TiB
+    (["blockenc", "--cutoff", "1048576", "--xi", "2"], "block encoding"),
+    # 721,801 sector states; building them recursively exceeds Python's recursion limit
+    (["walk", "--sites", "1200"], "walk on 1200 sites"),
+    # the random start matrix alone is 1.16 TiB
+    (["wegner", "--dim", "400000"], "Wegner flow"),
+], ids=["lindblad", "blockenc", "walk", "wegner"])
+def test_oversized_command_exits_2_before_allocating(argv, what, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {what} of shape") and "exceeds dense limit" in err
+    assert err.count("\n") == 1 and not out.exists()
+
+
 def test_prep_report(tmp_path):
     out = tmp_path / "prep.json"
     assert run(["prep", "--scheme", "B", "--out", str(out)]) == 0

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,11 +8,13 @@ from hypothesis import strategies as st
 
 from bosonsim.errors import CapacityError, DimensionError, ParameterError
 from bosonsim.pauli import (
+    DENSE_LIMIT,
     PauliSum,
     PauliTerm,
     ladder,
     outer_1q,
     projector,
+    require_capacity,
 )
 
 I2 = np.eye(2)
@@ -189,6 +192,23 @@ def test_dense_limit_guard():
         PauliSum.from_term("I" * 15).to_matrix()
     with pytest.raises(CapacityError):
         PauliTerm("I" * 15, 1).to_matrix()
+
+
+def test_capacity_rule_refuses_one_byte_past_a_dense_limit_matrix():
+    tracemalloc.start()
+    try:
+        n = 2**DENSE_LIMIT
+        require_capacity((n, n), 16, "x")  # exactly one 2**14-row complex matrix
+        require_capacity((4, n, n // 2), 8, "x")
+        for shape, itemsize in [((n, n + 1), 16), ((n * n * 16 + 1,), 1), ((2, n, n + 1), 8)]:
+            with pytest.raises(CapacityError, match=r"x of shape .* exceeds dense limit"):
+                require_capacity(shape, itemsize, "x")
+        with pytest.raises(CapacityError, match="exceeds dense limit"):
+            PauliTerm("I" * (DENSE_LIMIT + 1), 1).to_matrix()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
 
 
 def test_masks_mark_x_and_z_parts_with_qubit_zero_most_significant():
