@@ -144,7 +144,7 @@ def _first_order_circuit(model, dt):
 
 def cmd_evolve(args):
     model = _load_model(args.model)
-    H = model.pauli.to_matrix()
+    H = model.pauli.to_sparse()
     dim = H.shape[0]
     psi0 = np.zeros(dim, dtype=complex)
     psi0[_index(args.initial_basis_state, dim, "--initial-basis-state")] = 1.0
@@ -183,8 +183,15 @@ def cmd_walk(args):
 
 def cmd_lindblad(args):
     from . import open_systems
+    if args.cutoff < 0:
+        raise ParameterError(f"--cutoff {args.cutoff} must be >= 0")
+    steps = args.t / args.dt if args.dt > 0 else 0.0  # propagate_lindblad refuses dt <= 0
+    if not math.isfinite(steps):
+        raise ParameterError(f"--t {args.t!r} over --dt {args.dt!r} is not a finite step count")
     d = args.cutoff + 1
     require_capacity((d * d, d * d), 16, "Liouvillian")
+    # a row per step and one for a remainder step: a 4-tuple of floats, about 56 B an entry
+    require_capacity((max(0, math.ceil(steps)) + 1, 4), 56, "lindblad row table")
     b, bd, n = models.mode_matrices(args.cutoff)
     H = args.omega * n
     spec = open_systems.LindbladSpec(H, args.gamma_dephasing,

@@ -221,9 +221,22 @@ def occupation_sector(M: int, N: int, bounded: bool = False) -> list[tuple[int, 
 
 
 def _sector(M: int, N: int) -> list[tuple[int, ...]]:
-    if M == 1:
-        return [(N,)]
-    return [(head,) + tail for head in range(N, -1, -1) for tail in _sector(M - 1, N - head)]
+    """Every way to put N bosons in M modes, in descending lexicographic order.
+
+    The successor of an occupation moves one boson out of the last mode k < M−1
+    that holds any into mode k+1, together with everything in the last mode.
+    """
+    occ, out = [N] + [0] * (M - 1), []
+    while True:
+        out.append(tuple(occ))
+        k = M - 2
+        while k >= 0 and not occ[k]:
+            k -= 1
+        if k < 0:
+            return out
+        last, occ[-1] = occ[-1], 0
+        occ[k] -= 1
+        occ[k + 1] = last + 1
 
 
 class FockSpace:

@@ -6,8 +6,9 @@ a bit of ``x_mask``, Y or Z a bit of ``z_mask``.  Qubit 0 is the most
 significant bit (bit n−1 of a basis index), the leftmost tensor factor and
 the leftmost letter of the text form over {I, X, Y, Z}.  Since Y = iXZ per
 qubit, P|k⟩ = c·i^{#Y}·(−1)^{|k ∧ z_mask|}·|k ⊕ x_mask⟩, and the product of
-two strings XORs their masks.  Letters appear only where callers read or
-write them.
+two strings XORs their masks; the strings of a sum that share an x_mask fill
+one signed diagonal of its sparse form.  Letters appear only where callers
+read or write them.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ _NOT_PAULI = str.maketrans("", "", "IXYZ")  # deletes the valid letters
 _X_BITS = str.maketrans("IXYZ", "0110")
 _Z_BITS = str.maketrans("IXYZ", "0011")
 _I_POWERS = (1, 1j, -1, -1j)
+_SIGNS = np.array([1, -1])  # (−1)^parity
 
 
 def require_capacity(shape, itemsize: int, what: str):
@@ -60,6 +62,22 @@ def _letters(x: int, z: int, n: int) -> str:
     return "".join("IZXY"[(x >> k & 1) << 1 | z >> k & 1] for k in range(n - 1, -1, -1))
 
 
+def signed_rows(masks, coefficients, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(src, phase), each of shape (len(masks), 2ⁿ), for the strings with these
+    (x, z) masks: (c·P·ψ)[k] = phase[j, k]·ψ[src[j, k]] with src[j, k] = k ⊕ x_j."""
+    # src, the parity and the sign as int64 and the phase as complex: 40 B an entry
+    require_capacity((len(masks), 1 << n), 40, f"{n}-qubit table of {len(masks)} strings")
+    x, z = np.array(masks, dtype=np.int64).reshape(-1, 2).T
+    src = np.arange(1 << n) ^ x[:, None]
+    odd = src & z[:, None]
+    for shift in (32, 16, 8, 4, 2, 1):  # parity of the n low bits
+        if shift < n:
+            odd ^= odd >> shift
+    units = np.array([complex(c) * _I_POWERS[(xj & zj).bit_count() % 4]
+                      for (xj, zj), c in zip(masks, coefficients)], dtype=complex)
+    return src, units[:, None] * _SIGNS[odd & 1]
+
+
 @dataclass(frozen=True)
 class PauliTerm:
     """A single Pauli string with a complex coefficient."""
@@ -84,12 +102,9 @@ class PauliTerm:
 
     def signed_permutation(self) -> tuple[np.ndarray, np.ndarray]:
         """(src, phase) with (P·ψ)[k] = phase[k]·ψ[src[k]] and src[k] = k ⊕ x_mask."""
-        src = np.arange(1 << self.qubit_count) ^ self.x_mask
-        odd = src & self.z_mask
-        for shift in (32, 16, 8, 4, 2, 1):  # parity of the set bits
-            odd ^= odd >> shift
-        unit = complex(self.coefficient) * _I_POWERS[self.letters.count("Y") % 4]
-        return src, unit * (1 - 2 * (odd & 1))
+        src, phase = signed_rows([(self.x_mask, self.z_mask)], [self.coefficient],
+                                 self.qubit_count)
+        return src[0], phase[0]
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """P·ψ in O(2ⁿ), without building the matrix."""
@@ -118,7 +133,7 @@ class PauliSum:
     :meth:`from_text` take letters and validate them.
     """
 
-    __slots__ = ("_terms", "_n")
+    __slots__ = ("_terms", "_n", "_view")
 
     def __init__(self, terms: Mapping[str, complex], qubit_count: int):
         if qubit_count < 0:
@@ -128,7 +143,7 @@ class PauliSum:
                 raise DimensionError(
                     f"term {letters!r} has {len(letters)} letters, expected {qubit_count}")
         require_letters("".join(terms))
-        self._n = qubit_count
+        self._n, self._view = qubit_count, None
         self._terms = _nonzero(
             {(_mask(k, _X_BITS), _mask(k, _Z_BITS)): v for k, v in terms.items()})
 
@@ -136,7 +151,7 @@ class PauliSum:
     def _of(terms: dict[tuple[int, int], complex], qubit_count: int) -> "PauliSum":
         """A sum of mask-keyed terms this class computed, so trusted without checks."""
         out = object.__new__(PauliSum)
-        out._n, out._terms = qubit_count, _nonzero(terms)
+        out._n, out._terms, out._view = qubit_count, _nonzero(terms), None
         return out
 
     # -- constructors -------------------------------------------------
@@ -157,21 +172,20 @@ class PauliSum:
     def qubit_count(self) -> int:
         return self._n
 
-    def _sorted(self) -> list[tuple[str, complex]]:
-        """(letters, coefficient) pairs in lexicographic letter order."""
-        n = self._n
-        return sorted((_letters(x, z, n), v) for (x, z), v in self._terms.items())
-
     @property
     def terms(self) -> tuple[PauliTerm, ...]:
-        """Terms in canonical lexicographic letter order."""
-        return tuple(PauliTerm(k, v) for k, v in self._sorted())
+        """Terms in canonical lexicographic letter order, built on the first read."""
+        if self._view is None:
+            n = self._n
+            self._view = tuple(PauliTerm(k, v) for k, v in sorted(
+                (_letters(x, z, n), v) for (x, z), v in self._terms.items()))
+        return self._view
 
     def __len__(self) -> int:
         return len(self._terms)
 
     def __repr__(self) -> str:
-        body = " + ".join(f"({v})·{k}" for k, v in self._sorted())
+        body = " + ".join(f"({t.coefficient})·{t.letters}" for t in self.terms)
         return f"PauliSum[{self._n}]({body or '0'})"
 
     def __eq__(self, other) -> bool:
@@ -248,10 +262,29 @@ class PauliSum:
             out += PauliTerm(_letters(x, z, self._n), v).to_matrix()
         return out
 
+    def to_sparse(self):
+        """The matrix as a ``scipy.sparse`` CSR matrix, with one signed diagonal
+        per distinct x mask: the strings sharing x fill entries (k, k ⊕ x)."""
+        from scipy.sparse import csr_matrix
+
+        n, dim = self._n, 1 << self._n
+        keys = sorted(self._terms)  # (x, z) order, so each x mask is one run
+        if not keys:
+            return csr_matrix((dim, dim), dtype=complex)
+        src, phase = signed_rows(keys, [self._terms[k] for k in keys], n)
+        starts = np.flatnonzero(np.diff([x for x, _ in keys], prepend=-1))
+        data = np.add.reduceat(phase, starts, axis=0)  # one row per x mask
+        H = csr_matrix((data.T.ravel(), src[starts].T.ravel(),
+                        np.arange(0, dim * len(starts) + 1, len(starts))), shape=(dim, dim))
+        H.eliminate_zeros()
+        H.sort_indices()
+        return H
+
     # -- serialization -----------------------------------------------------
     def to_text(self) -> str:
         """One term per line: '<coeff_re> <coeff_im> <LETTERS>', MSB first."""
-        return "".join(f"{v.real!r} {v.imag!r} {k}\n" for k, v in self._sorted())
+        return "".join(f"{t.coefficient.real!r} {t.coefficient.imag!r} {t.letters}\n"
+                       for t in self.terms)
 
     @staticmethod
     def from_text(text: str, qubit_count: int | None = None) -> "PauliSum":

@@ -264,6 +264,59 @@ def test_evolve_report_improves_with_steps(sb_path, tmp_path):
     assert errs[8] / errs[64] == pytest.approx(64.0, rel=0.3)
 
 
+def test_evolve_at_a_huge_time_takes_the_eigh_branch(sb_path, tmp_path):
+    out = tmp_path / "e.json"
+    start = time.perf_counter()
+    assert run(["evolve", "--model", sb_path, "--t", "1e300", "--out", str(out)]) == 0
+    assert time.perf_counter() - start < 5.0
+    assert 0.0 <= json.loads(out.read_text())["fidelity"] <= 1.0 + 1e-12
+
+
+def test_twelve_qubit_holstein_evolve_is_fast_and_second_order(tmp_path):
+    path = tmp_path / "holstein.json"
+    path.write_text(json.dumps({"model": "holstein", "n_sites": 4, "v": 1.0, "omega": 1.2,
+                                "g": 0.8, "Nb": 3}))
+    errs = []
+    for steps in (8, 16):
+        out = tmp_path / f"e{steps}.json"
+        start = time.perf_counter()
+        assert run(["evolve", "--model", str(path), "--t", "1.0", "--steps", str(steps),
+                    "--order", "2", "--initial-basis-state", "5", "--out", str(out)]) == 0
+        assert time.perf_counter() - start < 1.0
+        errs.append(json.loads(out.read_text())["error_2norm"])
+    assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.3)
+
+
+def test_evolve_past_the_dense_limit_exits_2_before_allocating(tmp_path, capsys):
+    import tracemalloc
+    path = tmp_path / "bh.json"  # 16 qubits, 12,425 Pauli strings
+    path.write_text(json.dumps({"model": "bose_hubbard", "n_sites": 4, "t": 1.0, "U": 1.0,
+                                "V": 0.5, "Nb": 15}))
+    out = tmp_path / "e.json"
+    tracemalloc.start()
+    try:
+        assert run(["evolve", "--model", str(path), "--out", str(out)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert err.startswith("error: 16-qubit table of 12425 strings of shape (12425, 65536)")
+    assert "exceeds dense limit" in err and err.count("\n") == 1 and not out.exists()
+    assert peak < 2**26
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["--cutoff", "-1"], "--cutoff -1 must be >= 0"),
+    (["--dt", "5e-324"], "--t 1.0 over --dt 5e-324 is not a finite step count"),
+    (["--t", "1e300", "--dt", "1"], "lindblad row table of shape"),
+], ids=["negative-cutoff", "subnormal-dt", "huge-t"])
+def test_lindblad_refuses_its_boundary_by_flag(argv, what, tmp_path, capsys):
+    out = tmp_path / "l.csv"
+    assert run(["lindblad", *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {what}") and err.count("\n") == 1 and not out.exists()
+
+
 def _walk_gamma(path, sites):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "p,q,Gamma"

@@ -114,6 +114,83 @@ def test_pauli_factors_match_the_dense_matrix_path(model, order):
     assert np.max(np.abs(fast - dense)) < 1e-12
 
 
+def _letters(x, z, n):
+    return "".join("IZXY"[(x >> k & 1) << 1 | (z >> k & 1)] for k in range(n - 1, -1, -1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), order=st.sampled_from([1, 2]))
+def test_merged_runs_of_one_x_mask_match_the_dense_matrix_path(n, seed, order):
+    rng = np.random.default_rng(seed)
+    terms = []
+    for _ in range(int(rng.integers(1, 5))):  # runs of one x mask; x = 0 is a diagonal run
+        x = 0 if rng.random() < 0.4 else int(rng.integers(1, 2**n))
+        terms += [PauliTerm(_letters(x, int(rng.integers(0, 2**n)), n), float(rng.normal()))
+                  for _ in range(int(rng.integers(1, 4)))]
+    psi0 = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    psi0 /= np.linalg.norm(psi0)
+    fast = trotter_evolve(terms, psi0, 0.7, 5, order)
+    dense = trotter_evolve([t.to_matrix() for t in terms], psi0, 0.7, 5, order)
+    assert np.max(np.abs(fast - dense)) < 1e-12
+
+
+@pytest.mark.parametrize("sites, order, factors", [(3, 2, 147), (4, 2, 297), (3, 1, 74)])
+def test_a_step_applies_one_factor_per_run_of_one_x_mask(sites, order, factors):
+    from bosonsim.models import BoseHubbardParams, build_bose_hubbard
+    model = build_bose_hubbard(BoseHubbardParams(n_sites=sites, t=1.0, U=0.5, V=0.3, Nb=3))
+    dim = 2**model.pauli.qubit_count
+    seq = dynamics.product_formula(dynamics._factor,
+                                   dynamics._tabulate(model.pauli.terms, dim), 0.1, order)
+    assert len(dynamics._merge_runs(seq, dim)) == factors < len(seq)
+
+
+def test_sparse_and_dense_exact_evolution_agree_in_both_branches(monkeypatch):
+    import scipy.sparse.linalg
+    model = build_holstein(HolsteinParams(n_sites=4, v=1.0, omega=1.2, g=0.8))
+    H, D = model.pauli.to_sparse(), model.pauli.to_matrix()
+    psi0 = np.eye(H.shape[0])[3]
+    right_eigh = np.linalg.eigh
+
+    def refused(*args, **kwargs):
+        raise AssertionError("wrong branch")
+
+    monkeypatch.setattr(np.linalg, "eigh", refused)
+    small = evolve_exact(H, psi0, 0.5)  # ‖tH‖₁ ≈ 5: expm_multiply
+    monkeypatch.setattr(np.linalg, "eigh", right_eigh)
+    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", refused)
+    large = evolve_exact(H, psi0, 500.0)  # ‖tH‖₁ ≈ 5000: densified, eigh
+    assert np.max(np.abs(small - evolve_exact(D, psi0, 0.5))) < 1e-12
+    assert np.max(np.abs(large - evolve_exact(D, psi0, 500.0))) < 1e-10
+
+
+def test_sparse_exact_evolution_refuses_a_non_hermitian_h():
+    from bosonsim.pauli import PauliSum
+    H = PauliSum({"XZ": 1.0, "YI": 0.3j}, 2).to_sparse()
+    with pytest.raises(DomainError, match="not Hermitian"):
+        evolve_exact(H, np.eye(4)[0], 1.0)
+
+
+def test_sparse_exact_evolution_refuses_a_dense_fallback_past_the_limit():
+    import tracemalloc
+    from scipy.sparse import identity
+    H = identity(2 ** (DENSE_LIMIT + 1), dtype=complex, format="csr")
+    psi0 = np.eye(1, H.shape[0], 0)[0]
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="dense H of dimension 32768"):
+            evolve_exact(H, psi0, 1e300)  # ‖tH‖₁ = 1e300 takes the eigh branch
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**24
+
+
+def test_trotter_table_is_refused_past_the_limit():
+    psi0 = np.eye(1, 2**16, 0)[0]
+    with pytest.raises(CapacityError, match="16-qubit table of 2000 strings"):
+        trotter_evolve([PauliTerm("Z" * 16, 1.0)] * 2000, psi0, 1.0, 1)
+
+
 def test_pauli_factor_rejects_a_complex_coefficient_or_a_wrong_width():
     psi0 = np.eye(4)[0]
     with pytest.raises(DomainError):

@@ -213,6 +213,28 @@ def test_fermion_excitations_match_jordan_wigner(create, annihilate):
     assert np.max(np.abs(P.to_matrix()[rows] - E)) < 1e-12
 
 
+def _recursive_sector(M, N):
+    """The former recursive enumeration, one call level per mode."""
+    if M == 1:
+        return [(N,)]
+    return [(h,) + tail for h in range(N, -1, -1) for tail in _recursive_sector(M - 1, N - h)]
+
+
+def test_occupation_sector_keeps_the_recursive_order():
+    for M in range(1, 7):
+        for N in range(0, 6):
+            assert occupation_sector(M, N) == _recursive_sector(M, N)
+            assert occupation_sector(M, N, bounded=True) == [
+                occ[:-1] for occ in _recursive_sector(M + 1, N)]
+
+
+def test_occupation_sector_has_no_recursion_limit_in_the_mode_count():
+    one = occupation_sector(1500, 1)
+    assert len(one) == 1500 and one[0] == (1,) + (0,) * 1499 and one[-1] == (0,) * 1499 + (1,)
+    bounded = occupation_sector(1500, 1, bounded=True)
+    assert bounded == one + [(0,) * 1500]
+
+
 def test_occupation_sectors():
     assert occupation_sector(3, 2) == sorted(occupation_sector(3, 2), reverse=True)
     assert len(occupation_sector(3, 2)) == 6

@@ -246,6 +246,41 @@ def test_apply_equals_the_matrix_product(letters, re, im, seed):
     assert np.max(np.abs(term.apply(psi) - term.to_matrix() @ psi)) < 1e-12
 
 
+@settings(max_examples=100, deadline=None)
+@given(spec=st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), letter_maps(n, 12))))
+def test_sparse_form_equals_the_per_term_dense_sum(spec):
+    n, mapping = spec
+    s = PauliSum(mapping, n)
+    H = s.to_sparse()
+    assert H.format == "csr" and H.shape == (2**n, 2**n)
+    assert np.max(np.abs(H.toarray() - s.to_matrix()), initial=0.0) <= 1e-13
+    # one signed diagonal per distinct x mask: at most that many entries per row
+    assert np.all(np.diff(H.indptr) <= len({PauliTerm(k, 1).x_mask for k in mapping}))
+
+
+def test_sparse_form_refuses_a_table_past_the_dense_limit_before_allocating():
+    tracemalloc.start()
+    try:
+        s = PauliSum({"I" * 27: 1.0, "X" * 27: 1.0, "Z" * 27: 1.0, "Y" * 27: 1.0}, 27)
+        with pytest.raises(CapacityError, match="27-qubit table of 4 strings"):
+            s.to_sparse()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_term_view_is_built_once_and_serves_text_and_repr():
+    s = PauliSum({"ZI": 0.5, "XY": -1.0 + 2.0j, "IX": 3.0}, 2)
+    assert s.terms is s.terms
+    assert [(t.letters, t.coefficient) for t in s.terms] == [
+        ("IX", 3.0), ("XY", -1.0 + 2.0j), ("ZI", 0.5)]
+    assert s.to_text() == "3.0 0.0 IX\n-1.0 2.0 XY\n0.5 0.0 ZI\n"
+    assert repr(s) == "PauliSum[2](((3+0j))·IX + ((-1+2j))·XY + ((0.5+0j))·ZI)"
+    # a derived sum has its own view
+    assert [t.letters for t in (s + PauliSum.from_term("ZZ")).terms] == ["IX", "XY", "ZI", "ZZ"]
+
+
 def test_apply_rejects_a_state_of_the_wrong_width():
     with pytest.raises(DimensionError):
         PauliTerm("XZ", 1.0).apply(np.ones(8))
