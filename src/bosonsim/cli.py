@@ -4,9 +4,10 @@ Exit codes: 0 success, 1 a --selftest check failed, 2 validation/usage
 error, 3 convergence failure, 4 I/O error.  CSV output is a header row
 and comma-joined rows whose fields never need quoting; floats are printed
 with 17 significant digits so they round-trip exactly.  JSON output uses
-sorted keys.  Every subcommand accepts ``--selftest``: each module check
-reports its defect against the module's own oracle, and a defect above the
-check's bound (or NaN) exits 1.
+sorted keys; a NaN or infinite value in it is a validation error.  Every
+subcommand accepts ``--selftest``: each module check reports its defect
+against the module's own oracle, and a defect above the check's bound (or
+NaN) exits 1.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ def _json_value(x):
 
 
 def emit_json(path, data):
-    _write(path, json.dumps(data, default=_json_value, sort_keys=True, indent=2) + "\n")
+    _write(path, json.dumps(data, default=_json_value, sort_keys=True, indent=2,
+                            allow_nan=False) + "\n")
 
 
 def _write(path, text):
@@ -190,8 +192,8 @@ def cmd_lindblad(args):
         raise ParameterError(f"--t {args.t!r} over --dt {args.dt!r} is not a finite step count")
     d = args.cutoff + 1
     require_capacity((d * d, d * d), 16, "Liouvillian")
-    # a row per step and one for a remainder step: a 4-tuple of floats, about 56 B an entry
-    require_capacity((max(0, math.ceil(steps)) + 1, 4), 56, "lindblad row table")
+    # a row per step and one for a remainder step, then the CSV text: about 75 B an entry
+    require_capacity((max(0, math.ceil(steps)) + 1, 4), 80, "lindblad row table")
     b, bd, n = models.mode_matrices(args.cutoff)
     H = args.omega * n
     spec = open_systems.LindbladSpec(H, args.gamma_dephasing,
@@ -215,6 +217,9 @@ def cmd_pds(args):
     from . import ground_state
     if args.max_k < 1:
         raise ParameterError(f"--max-k {args.max_k} must be >= 1")
+    # per K the K×K Hankel matrix, its cond/lstsq copies and the companion matrix,
+    # after the 2K moments: traced at about 20 B an entry for K = 64
+    require_capacity((args.max_k, args.max_k), 32, "pds Hankel work")
     gs = _parse_range(args.g)
     rows = []
     for g in gs:
@@ -331,6 +336,8 @@ def cmd_wegner(args):
 
 def cmd_xy(args):
     from . import flows
+    # four n-point arrays, their rows as numpy scalars and the CSV text: about 125 B an entry
+    require_capacity((args.n, 4), 128, "xy row table")
     spec = flows.xy_spectrum(args.n, args.j, args.gamma, args.lam)
     rows = list(zip(spec["k"], spec["eps_k"], spec["delta_k"], spec["E_k"]))
     emit_csv(args.out, ["k[1/a]", "eps_k", "delta_k", "E_k[J]"], rows)

@@ -89,67 +89,6 @@ def require_hermitian_terms(terms) -> list[PauliTerm]:
     return [PauliTerm(t.letters, complex(t.coefficient).real) for t in terms]
 
 
-def _tabulate(terms, dim: int) -> list:
-    """The terms, each dense one as a complex array and each Pauli term c·P as
-    (x mask, real c, phase) with (P·ψ)[k] = phase[k]·ψ[k ⊕ x], from one table."""
-    items = [term if isinstance(term, PauliTerm) else np.asarray(term, dtype=complex)
-             for term in terms]
-    at = [j for j, term in enumerate(items) if isinstance(term, PauliTerm)]
-    pauli = [require_hermitian_terms([items[j]])[0] for j in at]  # each to its own scale
-    for term in pauli:
-        if 1 << term.qubit_count != dim:
-            raise DimensionError(f"{term.qubit_count}-qubit term on a state of dimension {dim}")
-    masks = [(term.x_mask, term.z_mask) for term in pauli]
-    if pauli:
-        _, phase = signed_rows(masks, [1.0] * len(masks), pauli[0].qubit_count)
-        for j, (x, _), term, row in zip(at, masks, pauli, phase):
-            items[j] = (x, term.coefficient.real, row)
-    return items
-
-
-def _factor(item, tau: float):
-    """e^{−iτ·term}: U for a dense term; for a Pauli row (x, c, phase),
-    (x, A, B) acting as ψ ↦ A·ψ + B·ψ[k ⊕ x], or (0, D, None) acting as
-    ψ ↦ D·ψ when the string is diagonal."""
-    if not isinstance(item, tuple):
-        return expm_hermitian(item, -1.0j * tau)
-    x, c, phase = item
-    # P² = I, so e^{−iθP} = cos θ·I − i sin θ·P
-    theta = tau * c
-    a, b = math.cos(theta), -1.0j * math.sin(theta) * phase
-    return (0, a + b, None) if x == 0 else (x, a, b)
-
-
-def _merge_runs(seq: list, dim: int) -> list:
-    """The factors as functions ψ ↦ factor·ψ, each run of adjacent Pauli factors
-    with one x mask multiplied into one.  Diagonals and X^x span an algebra:
-    (C + E·X)(A + B·X) = (CA + E·B^x) + (CB + E·A^x)·X with F^x[k] = F[k ⊕ x],
-    and diagonal factors multiply entrywise."""
-    merged = []
-    for f in seq:
-        last = merged[-1] if merged else None
-        if isinstance(f, tuple) and isinstance(last, tuple) and last[0] == f[0]:
-            (x, A, B), (_, C, E) = last, f
-            if x == 0:
-                merged[-1] = (0, C * A, None)
-            else:
-                src = np.arange(dim) ^ x
-                A_x = A[src] if isinstance(A, np.ndarray) else A
-                merged[-1] = (x, C * A + E * B[src], C * B + E * A_x)
-        else:
-            merged.append(f)
-    out = []
-    for f in merged:
-        if not isinstance(f, tuple):
-            out.append(f.__matmul__)
-        elif f[2] is None:
-            out.append(f[1].__mul__)
-        else:
-            x, A, B = f
-            out.append(lambda psi, A=A, B=B, src=np.arange(dim) ^ x: A * psi + B * psi[src])
-    return out
-
-
 def product_formula(factor, terms, dt: float, order: int) -> list:
     """One step's factors in acting order: factor(term, dt) per term (order 1),
     or factor(term, dt/2) per term, then the same in reverse (order 2)."""
@@ -161,18 +100,61 @@ def product_formula(factor, terms, dt: float, order: int) -> list:
     return half + half[::-1]
 
 
+def _pauli_factors(terms: list, dim: int, dt: float, order: int) -> list:
+    """One step's factors e^{−iτcP} = cos θ·I − i sin θ·P (θ = τc, as P² = I) for
+    Pauli terms c·P, as functions ψ ↦ factor·ψ, each run with one x mask merged.
+
+    A factor (x, A, B) is A + B·X^x with diagonals A, B, or the diagonal A when B
+    is None; (C + E·X)(A + B·X) = (CA + E·B^x) + (CB + E·A^x)·X with
+    F^x[k] = F[k ⊕ x].
+    """
+    terms = [require_hermitian_terms([term])[0] for term in terms]  # each to its own scale
+    for term in terms:
+        if 1 << term.qubit_count != dim:
+            raise DimensionError(f"{term.qubit_count}-qubit term on a state of dimension {dim}")
+    masks = [(term.x_mask, term.z_mask) for term in terms]
+    _, phase = signed_rows(masks, [1.0] * len(masks), terms[0].qubit_count if terms else 0)
+    rows = np.arange(dim)
+
+    def factor(j, tau):
+        x, theta = masks[j][0], tau * terms[j].coefficient
+        a, b = math.cos(theta), -1.0j * math.sin(theta) * phase[j]
+        return (0, a + b, None) if x == 0 else (x, a, b)
+
+    merged = []
+    for x, C, E in product_formula(factor, range(len(terms)), dt, order):
+        if not merged or merged[-1][0] != x:
+            merged.append((x, C, E))
+        elif x == 0:
+            merged[-1] = (0, C * merged[-1][1], None)
+        else:
+            _, A, B = merged[-1]
+            A_x = A[rows ^ x] if isinstance(A, np.ndarray) else A
+            merged[-1] = (x, C * A + E * B[rows ^ x], C * B + E * A_x)
+    return [A.__mul__ if B is None else
+            lambda psi, A=A, B=B, src=rows ^ x: A * psi + B * psi[src] for x, A, B in merged]
+
+
 def trotter_evolve(terms, psi0: np.ndarray, t: float, n: int, order: int = 1) -> np.ndarray:
     """Apply the order-1 or symmetric order-2 product formula n times.
 
-    Each term is a dense Hermitian matrix or a ``PauliTerm`` with a real
-    coefficient.  Adjacent Pauli factors whose strings share an x mask are
+    The terms are all dense Hermitian matrices or all ``PauliTerm``s with real
+    coefficients.  Adjacent Pauli factors whose strings share an x mask are
     applied as one factor; the product and its term order are unchanged.
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
     psi = np.asarray(psi0, dtype=complex)
-    dim = psi.shape[0]
-    seq = _merge_runs(product_formula(_factor, _tabulate(terms, dim), t / n, order), dim)
+    terms = list(terms)
+    pauli = [isinstance(term, PauliTerm) for term in terms]
+    if all(pauli):
+        seq = _pauli_factors(terms, psi.shape[0], t / n, order)
+    elif any(pauli):
+        raise ParameterError("Trotter terms must be all PauliTerms or all dense matrices")
+    else:
+        seq = [U.__matmul__ for U in product_formula(
+            lambda H, tau: expm_hermitian(np.asarray(H, dtype=complex), -1.0j * tau),
+            terms, t / n, order)]
     for _ in range(n):
         for apply in seq:
             psi = apply(psi)

@@ -36,14 +36,8 @@ def boson_ops_unary(Nb: int) -> dict[str, PauliSum]:
     width = Nb + 1
     creation = PauliSum.zero(width)
     for n in range(Nb):
-        op = PauliSum.identity(0)
-        for q in range(width):
-            if q == n:
-                op = op.tensor(ladder("plus"))
-            elif q == n + 1:
-                op = op.tensor(ladder("minus"))
-            else:
-                op = op.tensor(PauliSum.identity(1))
+        op = (PauliSum.identity(n).tensor(ladder("plus")).tensor(ladder("minus"))
+              .tensor(PauliSum.identity(width - n - 2)))
         creation = creation + math.sqrt(n + 1) * op
     annihilation = creation.adjoint()
     number = (creation * annihilation).simplify()
@@ -97,14 +91,8 @@ def fermion_ops_jw(site_index: int, n_sites: int) -> dict[str, PauliSum]:
         raise ParameterError(
             f"site_index {site_index} out of range for {n_sites} sites"
         )
-    op = PauliSum.identity(0)
-    for q in range(n_sites):
-        if q < site_index:
-            op = op.tensor(PauliSum.from_term("Z"))
-        elif q == site_index:
-            op = op.tensor(ladder("minus"))
-        else:
-            op = op.tensor(PauliSum.identity(1))
+    op = (PauliSum.from_term("Z" * site_index).tensor(ladder("minus"))
+          .tensor(PauliSum.identity(n_sites - site_index - 1)))
     return {"creation": op, "annihilation": op.adjoint()}
 
 
@@ -274,39 +262,30 @@ class FockSpace:
         return np.diag(self.occupations[:, mode].astype(float))
 
     def excitation_matrix(self, create, annihilate) -> np.ndarray:
-        """Matrix of ∏ a†_{create} ∏ a_{annihilate}; the rightmost factor acts first."""
-        out = np.zeros((self.dim, self.dim))
-        index, fermions = self.index, self.fermions
-        for col, occ in enumerate(self.basis):
-            ns = list(occ)
-            amp = 1.0
-            for m in annihilate:
-                if ns[m] == 0:
-                    break
-                amp *= math.sqrt(ns[m])
-                ns[m] -= 1
-            else:
-                for m in create:
-                    amp *= math.sqrt(ns[m] + 1)
-                    ns[m] += 1
-                try:
-                    row = index[tuple(ns)]
-                except KeyError:  # the image leaves the basis
-                    continue
-                if fermions:
-                    amp *= self._jw_sign(occ, create, annihilate)
-                out[row, col] += amp
-        return out
+        """Matrix of ∏ a†_{create} ∏ a_{annihilate}.
 
-    def _jw_sign(self, occ, create, annihilate) -> int:
-        """(−1) per fermion factor per occupied fermion mode before it."""
-        ns = list(occ)
-        flips = 0
-        for m, step in reversed([(m, 1) for m in create] + [(m, -1) for m in annihilate]):
-            if m in self.fermions:
-                flips += sum(ns[f] for f in self.fermions if f < m)
-            ns[m] += step
-        return -1 if flips % 2 else 1
+        Each basis state walks the word once in acting order (rightmost factor
+        first).  A factor on mode m takes √n from the running occupations and,
+        on a fermion mode, a sign (−1) per occupied fermion mode before m.
+        """
+        out = np.zeros((self.dim, self.dim))
+        word = [(m, step, m in self.fermions) for m, step in
+                reversed([(m, 1) for m in create] + [(m, -1) for m in annihilate])]
+        for col, occ in enumerate(self.basis):
+            ns, amp = list(occ), 1.0
+            for m, step, fermion in word:
+                n = ns[m] if step < 0 else ns[m] + 1
+                if not n:  # a on an empty mode
+                    break
+                amp *= math.sqrt(n)
+                if fermion and sum(ns[f] for f in self.fermions if f < m) % 2:
+                    amp = -amp
+                ns[m] += step
+            else:
+                row = self.index.get(tuple(ns))
+                if row is not None:  # else the image leaves the basis
+                    out[row, col] += amp
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -287,6 +287,16 @@ def test_twelve_qubit_holstein_evolve_is_fast_and_second_order(tmp_path):
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.3)
 
 
+def test_evolve_refuses_to_write_a_non_finite_number(sb_path, tmp_path, capsys):
+    # at t = 1e308 the phases e^{−iwt} overflow, so the error norm is NaN
+    out = tmp_path / "e.json"
+    assert run(["evolve", "--model", sb_path, "--t", "1e308", "--out", str(out)]) == 2
+    err = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(err) == 1 and "JSON compliant" in err[0] and not out.exists()
+    assert run(["evolve", "--model", sb_path, "--t", "1e300", "--out", str(out)]) == 0
+    assert math.isfinite(json.loads(out.read_text())["error_2norm"])
+
+
 def test_evolve_past_the_dense_limit_exits_2_before_allocating(tmp_path, capsys):
     import tracemalloc
     path = tmp_path / "bh.json"  # 16 qubits, 12,425 Pauli strings
@@ -668,3 +678,119 @@ def test_repeated_runs_in_one_process_share_no_state(command, flags, usage_error
         assert run([command]) == 0
         assert capsys.readouterr().out == first
     assert cli.build_parser() is cli.build_parser()
+
+
+# Runs each argv list of argv[1] through cli.run in this one process, under a
+# 3 GiB address-space limit and a per-case 2 s timer, and prints
+# [exit code or "raised"/"timeout", captured stderr] per case as JSON.
+BOUNDARY_CHILD = r"""
+import contextlib, io, json, resource, signal, sys, traceback
+from bosonsim.cli import run
+
+
+class Expired(BaseException):  # not an Exception, so cli.run cannot swallow it
+    pass
+
+
+def expire(signum, frame):
+    raise Expired
+
+
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+soft = 3 << 30 if hard == resource.RLIM_INFINITY else min(3 << 30, hard)
+resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+signal.signal(signal.SIGALRM, expire)
+results = []
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 2.0)
+        with contextlib.redirect_stderr(err):
+            code = run(argv)
+    except Expired:
+        code = "timeout"
+    except Exception:
+        code = "raised"
+        err.write(traceback.format_exc())
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+    results.append([code, err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_out_of_range_calls_exit_2_in_one_bounded_child(sb_path, tmp_path):
+    cases = [
+        ["evolve", "--model", sb_path, "--t", "1e308"],  # NaN error norm
+        ["pds", "--max-k", str(2**40)],
+        ["pds", "--max-k", "1000000"],
+        ["xy", "--n", str(2**40)],
+        ["xy", "--n", "10000000"],  # 0.3 GiB of arrays, 5 GiB with its rows and text
+        ["lindblad", "--dt", "5e-324"],
+        ["lindblad", "--t", "1e300", "--dt", "1"],
+    ]
+    outs = [tmp_path / f"out{i}" for i in range(len(cases))]
+    argvs = [[*argv, "--out", str(out)] for argv, out in zip(cases, outs)]
+    env = dict(os.environ, PYTHONPATH=str(Path(bosonsim.__file__).resolve().parents[1]))
+    start = time.perf_counter()
+    child = subprocess.run([sys.executable, "-c", BOUNDARY_CHILD, json.dumps(argvs)],
+                           env=env, capture_output=True, text=True, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert child.returncode == 0, child.stderr
+    wrong = [(argv[0:3], code, err[-300:])
+             for argv, out, (code, err) in zip(cases, outs, json.loads(child.stdout))
+             if (code, "Traceback" in err, out.exists()) != (2, False, False)]
+    assert not wrong
+    assert elapsed < 5.0
+
+
+@pytest.fixture
+def guard_counts(monkeypatch):
+    """Bytes each cli.require_capacity call counted, in call order."""
+    counts = []
+
+    def counting(shape, itemsize, what):
+        counts.append(itemsize * math.prod(shape))
+        right(shape, itemsize, what)
+
+    right = cli.require_capacity
+    monkeypatch.setattr(cli, "require_capacity", counting)
+    return counts
+
+
+def _traced_peak(fn):
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("argv", [
+    ["xy", "--n", "4096"],
+    ["lindblad", "--t", "2", "--dt", "1e-3"],
+], ids=["xy", "lindblad"])
+def test_row_table_guards_count_the_command_peak(argv, guard_counts, tmp_path):
+    out = str(tmp_path / "out.csv")
+    assert run([*argv, "--out", out]) == 0  # imports and caches outside the trace
+    guard_counts.clear()
+    peak = _traced_peak(lambda: run([*argv, "--out", out]))
+    assert guard_counts and peak <= sum(guard_counts)
+
+
+def test_pds_guard_counts_the_peak_of_its_moment_and_hankel_work(guard_counts, tmp_path):
+    K = 64
+    assert run(["pds", "--max-k", str(K), "--g", "0.5", "--out", str(tmp_path / "p.csv")]) == 0
+    model = models.build_holstein(models.HolsteinParams(n_sites=3, v=1.0, omega=1.0, g=0.5,
+                                                        Nb=1, boundary="periodic"))
+    H = model.pauli.to_matrix()
+    phi = ground_state.holstein_trial_state(model.layout)
+
+    def k_loop():  # what cmd_pds does per g once H is built
+        mom = ground_state.moments(H, phi, 2 * K - 1)
+        for k in range(1, K + 1):
+            ground_state.pds(mom, k, allow_degenerate=True)
+
+    assert guard_counts and _traced_peak(k_loop) <= sum(guard_counts)

@@ -138,10 +138,9 @@ def test_merged_runs_of_one_x_mask_match_the_dense_matrix_path(n, seed, order):
 def test_a_step_applies_one_factor_per_run_of_one_x_mask(sites, order, factors):
     from bosonsim.models import BoseHubbardParams, build_bose_hubbard
     model = build_bose_hubbard(BoseHubbardParams(n_sites=sites, t=1.0, U=0.5, V=0.3, Nb=3))
-    dim = 2**model.pauli.qubit_count
-    seq = dynamics.product_formula(dynamics._factor,
-                                   dynamics._tabulate(model.pauli.terms, dim), 0.1, order)
-    assert len(dynamics._merge_runs(seq, dim)) == factors < len(seq)
+    terms = model.pauli.terms
+    seq = dynamics._pauli_factors(terms, 2**model.pauli.qubit_count, 0.1, order)
+    assert len(seq) == factors < order * len(terms)
 
 
 def test_sparse_and_dense_exact_evolution_agree_in_both_branches(monkeypatch):
@@ -197,6 +196,12 @@ def test_pauli_factor_rejects_a_complex_coefficient_or_a_wrong_width():
         trotter_evolve([PauliTerm("XY", 0.3 + 1e-3j)], psi0, 1.0, 1)
     with pytest.raises(DimensionError):
         trotter_evolve([PauliTerm("XYZ", 0.3)], psi0, 1.0, 1)
+
+
+def test_a_mixed_pauli_and_dense_term_list_is_refused():
+    term = PauliTerm("XZ", 0.3)
+    with pytest.raises(ParameterError, match="all PauliTerms or all dense"):
+        trotter_evolve([term, term.to_matrix()], np.eye(4)[0], 1.0, 1)
 
 
 def test_hermitian_terms_tolerance_scales_with_the_largest_coefficient():

@@ -243,3 +243,48 @@ def test_occupation_sectors():
     assert {sum(occ) for occ in bounded} == {0, 1, 2}
     with pytest.raises(ParameterError):
         occupation_sector(0, 2)
+
+
+def _two_pass_excitation(space, create, annihilate):
+    """Reference rule: √n factors for the annihilations, then the creations, each in
+    list order; then a second walk, in acting order over a copy of the
+    occupations, for the Jordan-Wigner sign."""
+    out = np.zeros((space.dim, space.dim))
+    word = list(reversed([(m, 1) for m in create] + [(m, -1) for m in annihilate]))
+    for col, occ in enumerate(space.basis):
+        ns, amp = list(occ), 1.0
+        for m in annihilate:
+            if ns[m] == 0:
+                break
+            amp *= math.sqrt(ns[m])
+            ns[m] -= 1
+        else:
+            for m in create:
+                amp *= math.sqrt(ns[m] + 1)
+                ns[m] += 1
+            row = space.index.get(tuple(ns))
+            if row is None:
+                continue
+            ns, flips = list(occ), 0
+            for m, step in word:
+                if m in space.fermions:
+                    flips += sum(ns[f] for f in space.fermions if f < m)
+                ns[m] += step
+            out[row, col] += -amp if flips % 2 else amp
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_one_pass_ladder_words_match_the_two_pass_rule(data):
+    dims = data.draw(st.lists(st.integers(2, 4), min_size=1, max_size=4))
+    modes = st.integers(0, len(dims) - 1)
+    fermions = data.draw(st.sets(modes.filter(lambda m: dims[m] == 2)))
+    create = data.draw(st.lists(modes, max_size=3))
+    annihilate = data.draw(st.lists(modes, max_size=3))
+    space = FockSpace.tensor(dims, fermions)
+    got = space.excitation_matrix(create, annihilate)
+    want = _two_pass_excitation(space, create, annihilate)
+    if len(create) + len(annihilate) <= 2:
+        assert got.tobytes() == want.tobytes()
+    assert np.max(np.abs(got - want)) <= 1e-14
