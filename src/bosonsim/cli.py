@@ -25,12 +25,12 @@ from .encodings import FockSpace, occupation_sector
 from .errors import BosonSimError, ConvergenceError, ParameterError
 from .pauli import PauliSum, require_capacity
 
-_FLOAT = "{:.17g}"
+_FLOAT = "%.17g"
 
 
 def emit_csv(path, header, rows):
     lines = [",".join(header)]
-    lines += [",".join([_FLOAT.format(v) if isinstance(v, float) else str(v) for v in row])
+    lines += [",".join([_FLOAT % v if isinstance(v, float) else str(v) for v in row])
               for row in rows]
     _write(path, "\n".join(lines) + "\n")
 
@@ -194,6 +194,8 @@ def cmd_lindblad(args):
     require_capacity((d * d, d * d), 16, "Liouvillian")
     # a row per step and one for a remainder step, then the CSV text: about 75 B an entry
     require_capacity((max(0, math.ceil(steps)) + 1, 4), 80, "lindblad row table")
+    # propagate_lindblad's block of states and record's C-order copy of it
+    require_capacity((2, open_systems.STATE_BLOCK, d * d), 16, "lindblad state block")
     b, bd, n = models.mode_matrices(args.cutoff)
     H = args.omega * n
     spec = open_systems.LindbladSpec(H, args.gamma_dephasing,
@@ -202,11 +204,17 @@ def cmd_lindblad(args):
     rho0 = np.zeros((d, d), dtype=complex)
     level = _index(args.initial_level, d, "--initial-level")
     rho0[level, level] = 1.0
+    n_c = n.astype(complex)  # what np.vdot would convert n to on every call
     rows = []
 
-    def record(tau, rho):  # O(d²) per step: n and rho are Hermitian
-        rows.append((tau, np.vdot(n, rho).real, np.trace(rho).real,
-                     np.vdot(rho, rho).real))
+    def record(taus, rhos):  # O(d²) per step: n and rho are Hermitian
+        cells = np.ascontiguousarray(rhos)  # np.vdot reads each rho in C order
+        table = np.empty((len(taus), 4))
+        table[:, 0] = taus
+        table[:, 1] = [np.vdot(n_c, rho).real for rho in cells]
+        table[:, 2] = rhos.diagonal(0, 1, 2).sum(axis=1).real  # np.trace's pairwise sum
+        table[:, 3] = [np.vdot(rho, rho).real for rho in cells]
+        rows.extend(map(tuple, table.tolist()))  # tuples, the smaller rows
 
     open_systems.propagate_lindblad(L, rho0, args.t, dt=args.dt, record=record)
     emit_csv(args.out, ["t[1/omega]", "mean_n", "trace", "purity"], rows)
@@ -229,7 +237,13 @@ def cmd_pds(args):
         H = model.pauli.to_matrix()
         w, _ = ground_state.exact_diagonalize(H)
         phi = ground_state.holstein_trial_state(model.layout)
-        mom = ground_state.moments(H, phi, 2 * args.max_k - 1)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below, by order
+            mom = ground_state.moments(H, phi, 2 * args.max_k - 1)
+        overflow = np.flatnonzero(~np.isfinite(mom))
+        if overflow.size:
+            raise ParameterError(
+                f"--max-k {args.max_k} needs moments up to order {2 * args.max_k - 1}, "
+                f"but the moment of order {overflow[0]} is not finite at g={g!r}")
         row = [g, float(w[0])]
         for K in range(1, args.max_k + 1):
             res = ground_state.pds(mom, K, allow_degenerate=True)

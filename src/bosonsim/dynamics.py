@@ -108,7 +108,7 @@ def _pauli_factors(terms: list, dim: int, dt: float, order: int) -> list:
     is None; (C + E·X)(A + B·X) = (CA + E·B^x) + (CB + E·A^x)·X with
     F^x[k] = F[k ⊕ x].
     """
-    terms = [require_hermitian_terms([term])[0] for term in terms]  # each to its own scale
+    terms = require_hermitian_terms(terms)
     for term in terms:
         if 1 << term.qubit_count != dim:
             raise DimensionError(f"{term.qubit_count}-qubit term on a state of dimension {dim}")

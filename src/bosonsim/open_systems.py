@@ -22,6 +22,8 @@ from .dynamics import product_formula
 from .errors import DimensionError, DomainError, ParameterError
 from .pauli import require_capacity
 
+STATE_BLOCK = 256  # steps whose states propagate_lindblad holds, and records, at once
+
 
 @dataclass(frozen=True)
 class LindbladSpec:
@@ -107,9 +109,12 @@ def propagate_lindblad(L: np.ndarray, rho0: np.ndarray, t: float, dt: float = 1e
 
     Whole steps number ⌊t/dt⌋ (k when t/dt is within 1e-9 relative of an
     integer k); a remainder step e^{L·r} then ends the series at exactly t.
-    `record`, if given, is called as record(k·dt or t, rho) after every
-    step with a read-only view of the step's state; only the returned
-    final state is re-symmetrized.
+    Each step's vec(ρ) is written as one row of a block of STATE_BLOCK rows.
+    `record`, if given, is called as record(taus, rhos) once per block,
+    after its last step: taus holds the times k·dt (or t for the remainder
+    step) and rhos is a read-only (len(taus), d, d) view of the states.
+    The block is overwritten by the next steps, so `record` copies what it
+    keeps. Only the returned final state is re-symmetrized.
     """
     if not (0 < dt < np.inf and 0 <= t < np.inf):
         raise ParameterError("need finite dt > 0 and t >= 0")
@@ -129,14 +134,28 @@ def propagate_lindblad(L: np.ndarray, rho0: np.ndarray, t: float, dt: float = 1e
         tail = [(expm(L * (t - steps * dt)), t)]
     P = expm(L * dt)
     v = vectorize(rho0)
+    block = np.empty((min(STATE_BLOCK, steps + len(tail)), d * d), dtype=complex)
+    taus = np.empty(len(block))
+    i = 0
     for U, tau in chain(((P, k * dt) for k in range(1, steps + 1)), tail):
-        v = U @ v
-        if record is not None:
-            rho = devectorize(v, d)
-            rho.flags.writeable = False
-            record(tau, rho)
+        v = np.matmul(U, v, out=block[i])  # the zgemv of U @ v, into the block
+        taus[i] = tau
+        i += 1
+        if i == len(block):
+            if record is not None:
+                _record_block(record, taus, block, d)
+            i = 0
+    if i and record is not None:
+        _record_block(record, taus[:i], block[:i], d)
     rho = devectorize(v, d)
     return (rho + rho.conj().T) / 2.0
+
+
+def _record_block(record, taus, block, d):
+    """record(taus, rhos) with read-only views: rhos[k] is devectorize(block[k], d)."""
+    taus, rhos = taus[:], block.reshape(len(block), d, d).transpose(0, 2, 1)
+    taus.flags.writeable = rhos.flags.writeable = False
+    record(taus, rhos)
 
 
 def liouvillian_trotter_step(L_terms, dt: float, order: int = 1) -> np.ndarray:

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import bosonsim
@@ -416,6 +418,68 @@ def test_lindblad_columns_match_exact_state(tmp_path):
         assert purity == pytest.approx(np.trace(rho @ rho).real, abs=1e-12)
 
 
+def _lindblad_reference_csv(cutoff, omega, rates, t, dt, rho0):
+    """The series one step at a time: v = P @ v, then the three observables on
+    devectorize(v), printed with str.format (the per-step form of cmd_lindblad)."""
+    b, _, n = mode_matrices(cutoff)
+    L = build_liouvillian(LindbladSpec(omega * n, *rates, b, n))
+    P, steps = expm(L * dt), round(t / dt)
+    factors = [(P, k * dt) for k in range(1, steps + 1)]
+    if abs(t / dt - steps) > 1e-9 * steps:  # a remainder step ends the series at t
+        steps = int(t / dt)
+        factors = factors[:steps] + [(expm(L * (t - steps * dt)), t)]
+    lines = ["t[1/omega],mean_n,trace,purity"]
+    v = open_systems.vectorize(rho0)
+    for U, tau in factors:
+        v = U @ v
+        rho = open_systems.devectorize(v, len(rho0))
+        row = (tau, np.vdot(n, rho).real, np.trace(rho).real, np.vdot(rho, rho).real)
+        lines.append(",".join("{:.17g}".format(x) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("cutoff, omega, rates, t, level", [
+    (3, 1.21738, (0.0718263, 0.0417263), 1.0, 2),
+    (7, 0.91, (0.1, 0.05), 1.0, 1),
+    (15, 1.4, (0.03, 0.02), 1.0, 3),
+    (5, 1.1, (0.1, 0.05), 0.5004, 2),  # a remainder step after 500 whole steps
+    (4, 0.7, (0.02, 0.09), 0.613, 4),  # 613 steps: two full blocks and a part
+    (3, 1.3, (0.0, 0.0), 0.3, 0),  # every mean_n is a zero, printed as "0"
+    (7, 0.9, (0.05, 0.03), 0.5, None),  # a coherent start: Tr ρ² then depends on sum order
+], ids=["cutoff3", "cutoff7", "cutoff15", "remainder", "blocks", "zero", "coherent"])
+def test_lindblad_csv_equals_the_per_step_reference_byte_for_byte(
+        cutoff, omega, rates, t, level, tmp_path, monkeypatch):
+    dt, d = 1e-3, cutoff + 1
+    assert round(t / dt) > open_systems.STATE_BLOCK
+    if level is None:  # no Fock state reaches off-diagonal ρ under ω n̂: start the CLI elsewhere
+        rho0 = np.full((d, d), 1.0 / d, dtype=complex)
+        right = open_systems.propagate_lindblad
+        monkeypatch.setattr(open_systems, "propagate_lindblad",
+                            lambda L, _, *args, **kwargs: right(L, rho0, *args, **kwargs))
+    else:
+        rho0 = np.diag(np.eye(d)[level]).astype(complex)
+    out = tmp_path / "lb.csv"
+    assert run(["lindblad", "--cutoff", str(cutoff), "--omega", repr(omega),
+                "--gamma-dephasing", repr(rates[0]), "--gamma-heating", repr(rates[1]),
+                "--t", repr(t), "--initial-level", str(level or 0), "--out", str(out)]) == 0
+    text = out.read_text()
+    reference = _lindblad_reference_csv(cutoff, omega, rates, t, dt, rho0)
+    # the first differing line, since a diff of the whole text takes minutes
+    lines, want = text.splitlines(), reference.splitlines()
+    first = [(i, a, b) for i, (a, b) in enumerate(zip(lines, want)) if a != b][:1]
+    assert not first and len(lines) == len(want) and text == reference
+    if level == 0 and rates == (0.0, 0.0):
+        assert {line.split(",")[1] for line in text.splitlines()[1:]} == {"0"}
+
+
+@given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+       | st.sampled_from([-0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072014e-308]))
+@settings(max_examples=400, deadline=None)
+def test_csv_float_format_matches_str_format(x):
+    for v in (x, np.float64(x)):
+        assert cli._FLOAT % v == "{:.17g}".format(v)
+
+
 @pytest.mark.parametrize("argv", [
     ["lindblad", "--t", "-1"],
     ["lindblad", "--cutoff", "3", "--initial-level", "9"],
@@ -456,6 +520,21 @@ def test_pds_sweep_layout(tmp_path):
         assert all(v >= vals[1] - 1e-9 for v in vals[2:])
     row0 = list(map(float, lines[1].split(",")))
     assert row0[1] == pytest.approx(-2.0, abs=1e-10)
+
+
+def test_pds_names_the_first_moment_that_overflows(tmp_path, capsys, recwarn):
+    out = tmp_path / "pds.csv"
+    assert run(["pds", "--max-k", "256", "--g", "0.5", "--out", str(out)]) == 2
+    model = models.build_holstein(models.HolsteinParams(n_sites=3, g=0.5))  # cmd_pds's
+    with np.errstate(all="ignore"):
+        mom = ground_state.moments(model.pauli.to_matrix(),
+                                   ground_state.holstein_trial_state(model.layout), 511)
+    first = int(np.flatnonzero(~np.isfinite(mom))[0])
+    assert 0 < first <= 511 and np.isfinite(mom[:first]).all()
+    err = capsys.readouterr().err
+    assert err == (f"error: --max-k 256 needs moments up to order 511, but the moment of "
+                   f"order {first} is not finite at g=0.5\n")
+    assert not out.exists() and not [w for w in recwarn if w.category is RuntimeWarning]
 
 
 def test_downfold_report(tmp_path):

@@ -211,6 +211,31 @@ def test_hermitian_terms_tolerance_scales_with_the_largest_coefficient():
         require_hermitian_terms(terms[1:])
 
 
+@pytest.mark.parametrize("terms", [
+    [PauliTerm("XY", 1e3), PauliTerm("ZZ", 0.5 + 5e-8j)],  # within 1e-10 of the list's 1e3
+    [PauliTerm("ZZ", 0.5 + 5e-8j)],
+    [PauliTerm("ZZ", 0.5 + 5e-8j), PauliTerm("XY", 1e3)],
+    [PauliTerm("XY", 0.3 + 1e-3j), PauliTerm("ZI", 2.0)],
+    [PauliTerm("XY", 1e9), PauliTerm("ZI", 2.0 + 0.05j)],
+    [PauliTerm("XX", 0.7 + 1e-11j), PauliTerm("YZ", -0.2)],
+])
+def test_trotter_and_the_circuit_path_accept_the_same_pauli_lists(terms):
+    # compile --circuits calls require_hermitian_terms on the whole list
+    def accepts(fn):
+        try:
+            fn()
+        except DomainError:
+            return False
+        return True
+
+    circuit = accepts(lambda: require_hermitian_terms(terms))
+    assert accepts(lambda: trotter_evolve(terms, np.eye(4)[0], 1.0, 1)) == circuit
+    if circuit:  # both apply the real parts
+        real = [PauliTerm(t.letters, complex(t.coefficient).real) for t in terms]
+        assert np.array_equal(trotter_evolve(terms, np.eye(4)[1], 0.3, 2, 2),
+                              trotter_evolve(real, np.eye(4)[1], 0.3, 2, 2))
+
+
 def test_trotter_steps_for_meets_target():
     rng = np.random.default_rng(3)
     K = random_hermitian(rng, 4)

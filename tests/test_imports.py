@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import bosonsim
 
 # Every bosonsim module plus the lazy sparse import of truncation_defect,
@@ -39,15 +41,45 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "[]"
 
 
-def test_every_name_the_bench_tracer_wraps_exists():
-    # the tracer swaps these attributes in place, so a renamed or deleted one
-    # would crash a traced bench run; the file is read and run here, never written
+def _bench_spans() -> dict:
+    """The namespace of the bench tracer's spans.py, read and run, never written."""
     path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
     spans = {"__name__": "bench_spans"}
     exec(compile(path.read_text(), str(path), "exec"), spans)
+    return spans
+
+
+def test_every_name_the_bench_tracer_wraps_exists():
+    # the tracer swaps these attributes in place, so a renamed or deleted one
+    # would crash a traced bench run
+    spans = _bench_spans()
     for module, attr_path, _, _ in spans["WRAPS"]:
         owner = importlib.import_module(module)
         *parents, attr = attr_path.split(".")
         for name in parents:
             owner = getattr(owner, name)
         assert callable(owner.__dict__.get(attr)), f"{module}.{attr_path}"
+
+
+@pytest.mark.parametrize("t, dt, rows", [("0.5004", "2e-3", 251), ("0.6", "1e-3", 600)])
+def test_lindblad_propagates_once_where_the_bench_tracer_counts_it(t, dt, rows, tmp_path,
+                                                                    monkeypatch):
+    # the tracer's open_systems.propagate_lindblad span and rk4_steps count read
+    # this one call's t and dt
+    from bosonsim import open_systems
+    from bosonsim.cli import run
+    calls, right = [], open_systems.propagate_lindblad
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return right(*args, **kwargs)
+
+    monkeypatch.setattr(open_systems, "propagate_lindblad", spy)
+    out = tmp_path / "lb.csv"
+    assert run(["lindblad", "--t", t, "--dt", dt, "--out", str(out)]) == 0
+    assert len(calls) == 1
+    spans, (args, kwargs) = _bench_spans(), calls[0]
+    assert spans["_arg"](args, kwargs, 2, "t") == float(t)
+    assert spans["_arg"](args, kwargs, 3, "dt", 1e-3) == float(dt)
+    steps = spans["_count_rk4"](args, kwargs, None)["open_systems.rk4_steps"]
+    assert steps == rows == len(out.read_text().splitlines()) - 1

@@ -9,6 +9,7 @@ from bosonsim.cli import run
 from bosonsim.errors import CapacityError, DomainError, ParameterError
 from bosonsim.models import mode_matrices
 from bosonsim.open_systems import (
+    STATE_BLOCK,
     LindbladSpec,
     build_liouvillian,
     devectorize,
@@ -92,8 +93,9 @@ def test_dephasing_shrinks_purity():
     rho0 = np.full((4, 4), 0.25, dtype=complex)  # maximally coherent
     purities = []
     propagate_lindblad(L, rho0, 1.0, dt=1e-3,
-                       record=lambda t, r: purities.append(
-                           float(np.real(np.trace(r @ r)))))
+                       record=lambda taus, rhos: purities.extend(
+                           float(np.real(np.trace(r @ r))) for r in rhos))
+    assert len(purities) == 1000
     assert all(a >= b - 1e-12 for a, b in zip(purities, purities[1:]))
 
 
@@ -105,10 +107,16 @@ def test_series_matches_exact_propagator_at_every_step(cutoff, t):
     L = build_liouvillian(LindbladSpec(1.0 * n + 0.4 * (b + bd), 0.05, 0.03, b, n))
     d, dt = cutoff + 1, 1e-3
     rho0 = random_density(np.random.default_rng(cutoff), d)
-    series = []
-    propagate_lindblad(L, rho0, t, dt=dt,
-                       record=lambda tau, r: series.append((tau, np.array(r))))
+    series, blocks = [], []
+
+    def record(taus, rhos):  # the block is overwritten after the call: copy it
+        assert not taus.flags.writeable and not rhos.flags.writeable
+        blocks.append(len(taus))
+        series.extend(zip(taus.tolist(), np.array(rhos)))
+
+    propagate_lindblad(L, rho0, t, dt=dt, record=record)
     times = [k * dt for k in range(1, 501)] + ([t] if t != 0.5 else [])
+    assert blocks == [STATE_BLOCK, len(times) - STATE_BLOCK]  # one call per block
     assert [tau for tau, _ in series] == times
     v0 = vectorize(rho0)
     # one expm_multiply sweep over the whole steps; expm at the last one and at t
