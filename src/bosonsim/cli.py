@@ -136,11 +136,10 @@ def cmd_compile(args):
 
 def _first_order_circuit(model, dt):
     """One step of e^{−iH dt} as the product of each term's e^{−i c P dt}."""
-    gates = []
-    for term in dynamics.require_hermitian_terms(model.pauli.terms):
+    gates, terms = [], model.pauli.terms
+    for term, c in zip(terms, dynamics.hermitian_coefficients(terms)):
         if set(term.letters) != {"I"}:  # an identity string is only a global phase
-            gates += dynamics.synthesize_pauli_exponential(
-                term.letters, 2.0 * term.coefficient * dt).gates
+            gates += dynamics.synthesize_pauli_exponential(term.letters, 2.0 * c * dt).gates
     return dynamics.GateList(model.layout.total_qubits, tuple(gates))
 
 

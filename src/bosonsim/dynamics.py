@@ -80,13 +80,14 @@ def evolve_exact(H, psi0: np.ndarray, t: float) -> np.ndarray:
     return V @ (np.exp(-1.0j * w * t) * (V.conj().T @ psi0))
 
 
-def require_hermitian_terms(terms) -> list[PauliTerm]:
-    """Pauli terms with real coefficients; Im c may reach HERMITIAN_TOL·max(1, max|c|)."""
-    terms = list(terms)
-    scale = max([1.0] + [abs(t.coefficient) for t in terms])
-    if any(abs(complex(t.coefficient).imag) > HERMITIAN_TOL * scale for t in terms):
+def hermitian_coefficients(terms) -> list[float]:
+    """Real parts of the Pauli terms' coefficients; Im c may reach
+    HERMITIAN_TOL·max(1, max|c|)."""
+    coefficients = [complex(t.coefficient) for t in terms]
+    scale = max([1.0] + [abs(c) for c in coefficients])
+    if any(abs(c.imag) > HERMITIAN_TOL * scale for c in coefficients):
         raise DomainError("Pauli terms are not Hermitian within tolerance")
-    return [PauliTerm(t.letters, complex(t.coefficient).real) for t in terms]
+    return [c.real for c in coefficients]
 
 
 def product_formula(factor, terms, dt: float, order: int) -> list:
@@ -108,7 +109,7 @@ def _pauli_factors(terms: list, dim: int, dt: float, order: int) -> list:
     is None; (C + E·X)(A + B·X) = (CA + E·B^x) + (CB + E·A^x)·X with
     F^x[k] = F[k ⊕ x].
     """
-    terms = require_hermitian_terms(terms)
+    coefficients = hermitian_coefficients(terms)
     for term in terms:
         if 1 << term.qubit_count != dim:
             raise DimensionError(f"{term.qubit_count}-qubit term on a state of dimension {dim}")
@@ -117,7 +118,7 @@ def _pauli_factors(terms: list, dim: int, dt: float, order: int) -> list:
     rows = np.arange(dim)
 
     def factor(j, tau):
-        x, theta = masks[j][0], tau * terms[j].coefficient
+        x, theta = masks[j][0], tau * coefficients[j]
         a, b = math.cos(theta), -1.0j * math.sin(theta) * phase[j]
         return (0, a + b, None) if x == 0 else (x, a, b)
 
@@ -215,6 +216,12 @@ class Gate:
         if self.param is not None and not math.isfinite(self.param):
             raise ParameterError(f"{self.name} angle {self.param} is not finite")
 
+    @functools.cached_property
+    def qasm(self) -> str:
+        """The OpenQASM line, kept: a shared ``_fixed_gate`` gate formats it once."""
+        angle = "" if self.param is None else f"({self.param!r})"
+        return f"{self.name}{angle} {','.join(f'q[{q}]' for q in self.qubits)};"
+
 
 def _require_on_register(qubits: tuple[int, ...], n_qubits: int):
     if not all(0 <= q < n_qubits for q in qubits):
@@ -246,6 +253,13 @@ class GateList:
             for g in self.gates:
                 _require_on_register(g.qubits, self.n_qubits)
 
+    @staticmethod
+    def _on_register(n_qubits: int, gates: tuple[Gate, ...]) -> "GateList":
+        """A list whose gates synthesis placed on its register, so trusted unchecked."""
+        out = object.__new__(GateList)
+        out.__dict__.update(n_qubits=n_qubits, gates=gates, phase=0.0)
+        return out
+
     def unitary(self) -> np.ndarray:
         """The dense unitary, each gate applied to the rows of the product so far."""
         require_capacity((2**self.n_qubits,) * 2, 16, f"{self.n_qubits}-qubit unitary")
@@ -269,13 +283,8 @@ class GateList:
         if self.phase:
             lines.append(f"// global-phase {self.phase!r}")
         lines.append(f"qreg q[{self.n_qubits}];")
-        for g in self.gates:
-            if g.param is not None:
-                lines.append(f"{g.name}({g.param!r}) q[{g.qubits[0]}];")
-            elif g.name == "cx":
-                lines.append(f"cx q[{g.qubits[0]}],q[{g.qubits[1]}];")
-            else:
-                lines.append(f"{g.name} q[{g.qubits[0]}];")
+        lines += [g.qasm if g.param is None else f"{g.name}({g.param!r}) q[{g.qubits[0]}];"
+                  for g in self.gates]
         return "\n".join(lines) + "\n"
 
     @staticmethod
@@ -310,6 +319,14 @@ class GateList:
         return GateList(n_qubits, tuple(gates), phase)
 
 
+@functools.cache
+def _basis_change(letter: str, q: int) -> tuple[tuple[Gate, ...], tuple[Gate, ...]]:
+    """The gates before and after the CNOT staircase that turn Z on qubit q into
+    this letter: H for X; (S·H)† before and S·H after for Y, as S X S† = Y."""
+    names = {"X": (("h",), ("h",)), "Y": (("sdg", "h"), ("h", "s"))}.get(letter, ((), ()))
+    return tuple(tuple(_fixed_gate(name, (q,)) for name in side) for side in names)
+
+
 def synthesize_pauli_exponential(letters: str, theta: float) -> GateList:
     """Gate list realizing e^{−i(θ/2)·P} for the Pauli string P with these letters.
 
@@ -318,28 +335,19 @@ def synthesize_pauli_exponential(letters: str, theta: float) -> GateList:
     if not math.isfinite(theta):
         raise ParameterError(f"rotation angle theta={theta} is not finite")
     require_letters(letters)
-    n = len(letters)
     involved = [q for q, letter in enumerate(letters) if letter != "I"]
     if not involved:
-        return GateList(n, (), -theta / 2.0)
-    pre: list[Gate] = []
-    post: list[Gate] = []
+        return GateList(len(letters), (), -theta / 2.0)
+    pre, post = [], []
     for q in involved:
-        letter = letters[q]
-        if letter == "X":
-            pre.append(_fixed_gate("h", (q,)))
-            post.append(_fixed_gate("h", (q,)))
-        elif letter == "Y":
-            # conjugation by (S·H)† before / (S·H) after maps Z into Y
-            pre.extend([_fixed_gate("sdg", (q,)), _fixed_gate("h", (q,))])
-            post.extend([_fixed_gate("h", (q,)), _fixed_gate("s", (q,))])
-    target = involved[-1]
-    stair = [
-        _fixed_gate("cx", (involved[i], involved[i + 1]))
-        for i in range(len(involved) - 1)
-    ]
-    gates = pre + stair + [Gate("rz", (target,), theta)] + stair[::-1] + post
-    return GateList(n, tuple(gates))
+        before, after = _basis_change(letters[q], q)
+        pre += before
+        post += after
+    stair = [_fixed_gate("cx", pair) for pair in zip(involved, involved[1:])]
+    pre += stair
+    pre.append(Gate("rz", (involved[-1],), theta))
+    pre += stair[::-1]
+    return GateList._on_register(len(letters), tuple(pre + post))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,12 @@ from itertools import product
 import numpy as np
 
 from .errors import DimensionError, DomainError, ParameterError
-from .pauli import PauliSum, ladder, outer_1q
+from .pauli import PauliSum, ladder
+
+
+def _ladder_set(creation: PauliSum, number: PauliSum) -> dict[str, PauliSum]:
+    return {"creation": creation.simplify(), "annihilation": creation.adjoint().simplify(),
+            "number": number.simplify()}
 
 
 def boson_ops_unary(Nb: int) -> dict[str, PauliSum]:
@@ -39,47 +44,41 @@ def boson_ops_unary(Nb: int) -> dict[str, PauliSum]:
         op = (PauliSum.identity(n).tensor(ladder("plus")).tensor(ladder("minus"))
               .tensor(PauliSum.identity(width - n - 2)))
         creation = creation + math.sqrt(n + 1) * op
-    annihilation = creation.adjoint()
-    number = (creation * annihilation).simplify()
-    return {
-        "creation": creation.simplify(),
-        "annihilation": annihilation.simplify(),
-        "number": number,
-    }
+    return _ladder_set(creation, creation * creation.adjoint())
 
 
-def _outer_product(row: int, col: int, width: int) -> PauliSum:
-    """|row⟩⟨col| on `width` qubits, bits MSB-first, as a PauliSum."""
-    op = PauliSum.identity(0)
-    for q in range(width):
-        rb = (row >> (width - 1 - q)) & 1
-        cb = (col >> (width - 1 - q)) & 1
-        op = op.tensor(outer_1q(rb, cb))
-    return op
+def _outer_sum(weighted, m: int) -> PauliSum:
+    """Σ w·|r⟩⟨c| over the (w, r, c) given, on m qubits, bits MSB-first, with
+    |r⟩⟨c| = 2^{−m} Σ_z i^{|x∧z|} (−1)^{|r∧z|} P(x, z), x = r ⊕ c (Sawaya et al.,
+    npj Quantum Inf. 6, 49, 2020).  Added in the order given, z ascending, a key
+    dropped where its sum reaches 0: the keys, their order and coefficients of
+    adding the qubit-by-qubit tensor products of 1-qubit outer products."""
+    h = 0.5**m
+    units = (complex(h, 0.0), complex(0.0, h), complex(-h, 0.0), complex(0.0, -h))
+    acc: dict[tuple[int, int], complex] = {}
+    for w, r, c in weighted:
+        x = r ^ c
+        for z in range(1 << m):
+            k = (x, z)
+            s = acc.get(k, 0.0) + w * units[((x & z).bit_count() + 2 * (r & z).bit_count()) & 3]
+            if s:
+                acc[k] = s
+            else:
+                del acc[k]
+    return PauliSum._of(acc, m)
 
 
 def boson_ops_binary(Nq: int) -> dict[str, PauliSum]:
     """Truncated boson operators in the binary mapping on Nq qubits.
 
-    The register cutoff is 2^Nq − 1; creation = Σ √(n+1)|n+1⟩⟨n| with the
-    occupation read MSB-first, outer products expanded qubit by qubit.
+    The register cutoff is 2^Nq − 1; creation = Σ √(n+1)|n+1⟩⟨n| and
+    number = Σ n|n⟩⟨n| with the occupation read MSB-first.
     """
     if Nq < 1:
         raise ParameterError("binary register needs Nq >= 1")
     top = 2**Nq - 1
-    creation = PauliSum.zero(Nq)
-    number = PauliSum.zero(Nq)
-    for n in range(top):
-        creation = creation + math.sqrt(n + 1) * _outer_product(n + 1, n, Nq)
-    for n in range(top + 1):
-        if n:
-            number = number + float(n) * _outer_product(n, n, Nq)
-    annihilation = creation.adjoint()
-    return {
-        "creation": creation.simplify(),
-        "annihilation": annihilation.simplify(),
-        "number": number.simplify(),
-    }
+    return _ladder_set(_outer_sum(((math.sqrt(n + 1), n + 1, n) for n in range(top)), Nq),
+                       _outer_sum(((float(n), n, n) for n in range(1, top + 1)), Nq))
 
 
 def fermion_ops_jw(site_index: int, n_sites: int) -> dict[str, PauliSum]:

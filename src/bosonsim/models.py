@@ -34,6 +34,15 @@ from .trunc_bounds import verify_conditions
 # ---------------------------------------------------------------------------
 
 
+def _require_integers(**fields):
+    """ParameterError naming the field unless each of its values is an int or a
+    numpy integer: a bool or 2.5 would size a register silently."""
+    for name, values in fields.items():
+        for v in values:
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ParameterError(f"{name} must be an integer, got {v!r}")
+
+
 @dataclass(frozen=True)
 class BoseHubbardParams:
     n_sites: int
@@ -52,6 +61,7 @@ class BoseHubbardParams:
         return [float(m) for m in mus]
 
     def __post_init__(self):
+        _require_integers(n_sites=[self.n_sites], Nb=[self.Nb])
         if self.n_sites < 1 or self.Nb < 1:
             raise ParameterError("need n_sites >= 1 and Nb >= 1")
 
@@ -67,6 +77,7 @@ class SpinBosonParams:
     def __post_init__(self):
         if not (len(self.omegas) == len(self.couplings) == len(self.cutoffs)):
             raise ParameterError("omegas, couplings, cutoffs must align")
+        _require_integers(cutoffs=self.cutoffs)
         if any(c < 1 for c in self.cutoffs):
             raise ParameterError("cutoffs must be >= 1")
 
@@ -81,6 +92,7 @@ class HolsteinParams:
     boundary: str = "periodic"
 
     def __post_init__(self):
+        _require_integers(n_sites=[self.n_sites], Nb=[self.Nb])
         if self.n_sites < 2:
             raise ParameterError("Holstein chain needs n_sites >= 2")
         if self.boundary not in ("periodic", "open"):
@@ -223,10 +235,13 @@ def build_spin_boson(p: SpinBosonParams, encoding: str = "binary") -> EncodedHam
     X = embed(PauliSum.from_term("X"), layout, 0)
     Z = embed(PauliSum.from_term("Z"), layout, 0)
     H = p.delta * X + (0.5 * p.epsilon) * Z
+    ladders = {}  # (n̂, b† + b) per register width, kept for this build only
     for m, (w, g) in enumerate(zip(p.omegas, p.couplings)):
-        local = _boson_pauli_ops(layout.registers[m + 1])
-        nm = embed(local["number"], layout, m + 1)
-        xm = embed(local["creation"] + local["annihilation"], layout, m + 1)
+        reg = layout.registers[m + 1]
+        if reg.width not in ladders:
+            local = _boson_pauli_ops(reg)
+            ladders[reg.width] = (local["number"], local["creation"] + local["annihilation"])
+        nm, xm = (embed(op, layout, m + 1) for op in ladders[reg.width])
         H = H + w * nm + (0.5 * g * w) * (X * xm)
     return EncodedHamiltonian(H.simplify(), layout, "spin_boson", p)
 
@@ -255,13 +270,14 @@ def build_holstein(p: HolsteinParams, encoding: str = "binary") -> EncodedHamilt
     fc = [ops["creation"].tensor(pad) for ops in fml]
     fa = [ops["annihilation"].tensor(pad) for ops in fml]
     local = _boson_pauli_ops(layout.registers[p.n_sites])
+    position = local["creation"] + local["annihilation"]
 
     H = PauliSum.zero(nq)
     for i, j in pairs:
         H = H + (-p.v) * (fc[i] * fa[j] + fc[j] * fa[i])
     for i in range(p.n_sites):
         nb = embed(local["number"], layout, p.n_sites + i)
-        xb = embed(local["creation"] + local["annihilation"], layout, p.n_sites + i)
+        xb = embed(position, layout, p.n_sites + i)
         H = H + p.omega * nb + (p.g * p.omega) * (fc[i] * fa[i] * xb)
     return EncodedHamiltonian(H.simplify(), layout, "holstein", p)
 

@@ -148,10 +148,11 @@ class PauliSum:
             {(_mask(k, _X_BITS), _mask(k, _Z_BITS)): v for k, v in terms.items()})
 
     @staticmethod
-    def _of(terms: dict[tuple[int, int], complex], qubit_count: int) -> "PauliSum":
-        """A sum of mask-keyed terms this class computed, so trusted without checks."""
+    def _of(terms: dict[tuple[int, int], complex], qubit_count: int, nonzero=False) -> "PauliSum":
+        """Mask-keyed terms this class computed, so trusted without checks; with
+        `nonzero`, terms that already are what _nonzero would return."""
         out = object.__new__(PauliSum)
-        out._n, out._terms, out._view = qubit_count, _nonzero(terms), None
+        out._n, out._terms, out._view = qubit_count, terms if nonzero else _nonzero(terms), None
         return out
 
     # -- constructors -------------------------------------------------
@@ -161,7 +162,9 @@ class PauliSum:
 
     @staticmethod
     def identity(qubit_count: int) -> "PauliSum":
-        return PauliSum({"I" * qubit_count: 1.0}, qubit_count)
+        if qubit_count < 0:
+            raise ParameterError("qubit_count must be non-negative")
+        return PauliSum._of({(0, 0): 1.0}, qubit_count)
 
     @staticmethod
     def from_term(letters: str, coeff: complex = 1.0) -> "PauliSum":
@@ -204,9 +207,12 @@ class PauliSum:
     def __add__(self, other: "PauliSum") -> "PauliSum":
         self._require_same_width(other)
         acc = dict(self._terms)
-        for k, v in other._terms.items():
-            acc[k] = acc.get(k, 0.0) + v
-        return PauliSum._of(acc, self._n)
+        for k, v in other._terms.items():  # sums of complex values with no −0.0 part have none
+            if s := acc.get(k, 0.0) + v:
+                acc[k] = s
+            else:
+                del acc[k]
+        return PauliSum._of(acc, self._n, nonzero=True)
 
     def __sub__(self, other: "PauliSum") -> "PauliSum":
         return self + (-1.0) * other
@@ -252,7 +258,7 @@ class PauliSum:
     def simplify(self) -> "PauliSum":
         """Prune terms with |coeff| <= PRUNE_TOL (like terms are always merged)."""
         return PauliSum._of({k: v for k, v in self._terms.items() if abs(v) > PRUNE_TOL},
-                            self._n)
+                            self._n, nonzero=True)
 
     def to_matrix(self) -> np.ndarray:
         require_capacity((2**self._n,) * 2, 16, f"{self._n}-qubit matrix")
@@ -309,30 +315,25 @@ class PauliSum:
         return PauliSum(acc, n)
 
 
+# |row⟩⟨col| by (row, col); PauliSum is immutable, so every caller shares these
+_OUTER = {(0, 0): PauliSum({"I": 0.5, "Z": 0.5}, 1), (1, 1): PauliSum({"I": 0.5, "Z": -0.5}, 1),
+          (0, 1): PauliSum({"X": 0.5, "Y": 0.5j}, 1), (1, 0): PauliSum({"X": 0.5, "Y": -0.5j}, 1)}
+
+
 def ladder(kind: str) -> PauliSum:
     """Single-qubit ladder operator: (+) = ½(X+iY) = |0⟩⟨1|, (−) = ½(X−iY)."""
-    if kind == "plus":
-        return PauliSum({"X": 0.5, "Y": 0.5j}, 1)
-    if kind == "minus":
-        return PauliSum({"X": 0.5, "Y": -0.5j}, 1)
-    raise ParameterError(f"kind must be 'plus' or 'minus', got {kind!r}")
+    if kind not in ("plus", "minus"):
+        raise ParameterError(f"kind must be 'plus' or 'minus', got {kind!r}")
+    return _OUTER[0, 1] if kind == "plus" else _OUTER[1, 0]
 
 
 def projector(bit: int) -> PauliSum:
     """Single-qubit |bit⟩⟨bit| as ½(I ± Z)."""
-    if bit == 0:
-        return PauliSum({"I": 0.5, "Z": 0.5}, 1)
-    if bit == 1:
-        return PauliSum({"I": 0.5, "Z": -0.5}, 1)
-    raise ParameterError("bit must be 0 or 1")
+    return outer_1q(bit, bit)
 
 
 def outer_1q(row_bit: int, col_bit: int) -> PauliSum:
     """Single-qubit outer product |row⟩⟨col| in Pauli form."""
-    if row_bit == col_bit:
-        return projector(row_bit)
-    if (row_bit, col_bit) == (0, 1):
-        return ladder("plus")
-    if (row_bit, col_bit) == (1, 0):
-        return ladder("minus")
-    raise ParameterError("bits must be 0 or 1")
+    if row_bit not in (0, 1) or col_bit not in (0, 1):
+        raise ParameterError("bits must be 0 or 1")
+    return _OUTER[row_bit, col_bit]

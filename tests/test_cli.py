@@ -220,6 +220,36 @@ def test_malformed_model_spec_exits_2(spec, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["compile", "evolve"])
+@pytest.mark.parametrize("spec, field", [
+    (dict(SB_MODEL, cutoffs=[2.5]), "cutoffs"),
+    (dict(SB_MODEL, cutoffs=[True]), "cutoffs"),
+    ({"model": "bose_hubbard", "n_sites": 2, "Nb": 2.5, "t": 0.5}, "Nb"),
+    ({"model": "bose_hubbard", "n_sites": True, "Nb": 1}, "n_sites"),
+    ({"model": "holstein", "n_sites": 3, "Nb": 1.5, "g": 0.5}, "Nb"),
+    ({"model": "holstein", "n_sites": 2.5, "g": 0.5}, "n_sites"),
+    ({"model": "holstein", "n_sites": 3.0, "g": 0.5}, "n_sites"),
+], ids=["sb-half-cutoff", "sb-bool-cutoff", "bh-half-Nb", "bh-bool-sites", "holstein-half-Nb",
+        "holstein-half-sites", "holstein-float-sites"])
+def test_non_integer_model_size_exits_2_and_names_the_field(command, spec, field, tmp_path,
+                                                           capsys):
+    # int() and the binary register's rounding would turn Nb 2.5 into a 4-level mode
+    path, out = tmp_path / "m.json", tmp_path / "out"
+    path.write_text(json.dumps(spec))
+    assert run([command, "--model", str(path), "--out", str(out)]) == 2
+    assert f"error: {field} must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_numpy_integer_model_sizes_are_accepted():
+    ints = dict(n_sites=np.int64(2), Nb=np.int32(3), t=0.5, U=1.0)
+    assert build_bose_hubbard(BoseHubbardParams(**ints)) == build_bose_hubbard(
+        BoseHubbardParams(**{k: v.item() if isinstance(v, np.generic) else v
+                             for k, v in ints.items()}))
+    models.SpinBosonParams(1.0, 0.5, (1.0,), (0.2,), (np.int64(3),))
+    models.HolsteinParams(n_sites=np.int64(3), Nb=np.int16(1))
+
+
 def test_type_error_inside_a_command_propagates(sb_path, tmp_path, monkeypatch):
     def bug(*args, **kwargs):
         raise TypeError("programming bug")
@@ -438,6 +468,14 @@ def _lindblad_reference_csv(cutoff, omega, rates, t, dt, rho0):
     return "\n".join(lines) + "\n"
 
 
+def assert_same_text(text, reference):
+    """text == reference, failing with the first differing line: pytest's diff of
+    a whole long text takes minutes."""
+    lines, want = text.splitlines(), reference.splitlines()
+    first = [(i, a, b) for i, (a, b) in enumerate(zip(lines, want)) if a != b][:1]
+    assert not first and len(lines) == len(want) and text == reference
+
+
 @pytest.mark.parametrize("cutoff, omega, rates, t, level", [
     (3, 1.21738, (0.0718263, 0.0417263), 1.0, 2),
     (7, 0.91, (0.1, 0.05), 1.0, 1),
@@ -463,11 +501,7 @@ def test_lindblad_csv_equals_the_per_step_reference_byte_for_byte(
                 "--gamma-dephasing", repr(rates[0]), "--gamma-heating", repr(rates[1]),
                 "--t", repr(t), "--initial-level", str(level or 0), "--out", str(out)]) == 0
     text = out.read_text()
-    reference = _lindblad_reference_csv(cutoff, omega, rates, t, dt, rho0)
-    # the first differing line, since a diff of the whole text takes minutes
-    lines, want = text.splitlines(), reference.splitlines()
-    first = [(i, a, b) for i, (a, b) in enumerate(zip(lines, want)) if a != b][:1]
-    assert not first and len(lines) == len(want) and text == reference
+    assert_same_text(text, _lindblad_reference_csv(cutoff, omega, rates, t, dt, rho0))
     if level == 0 and rates == (0.0, 0.0):
         assert {line.split(",")[1] for line in text.splitlines()[1:]} == {"0"}
 
@@ -719,17 +753,22 @@ def test_outputs_are_deterministic(tmp_path, sb_path):
     for path in (a, b):
         assert run(["wegner", "--dim", "5", "--seed", "7",
                     "--out", str(path)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    assert_same_bytes(a, b)
     ja, jb = tmp_path / "a.json", tmp_path / "b.json"
     for path in (ja, jb):
         assert run(["evolve", "--model", sb_path, "--steps", "16",
                     "--out", str(path)]) == 0
-    assert ja.read_bytes() == jb.read_bytes()
+    assert_same_bytes(ja, jb)
     la, lb = tmp_path / "a_lb.csv", tmp_path / "b_lb.csv"
     for path in (la, lb):
         assert run(["lindblad", "--cutoff", "7", "--gamma-dephasing", "0.1",
                     "--gamma-heating", "0.05", "--out", str(path)]) == 0
-    assert la.read_bytes() == lb.read_bytes()
+    assert_same_bytes(la, lb)
+
+
+def assert_same_bytes(a, b):
+    """The files at a and b hold the same bytes, compared as text for the report."""
+    assert_same_text(a.read_bytes().decode(), b.read_bytes().decode())
 
 
 def test_float_format_round_trips(tmp_path):

@@ -13,7 +13,7 @@ from bosonsim.dynamics import (
     double_bracket_check,
     evolve_exact,
     gadget_anticommutator,
-    require_hermitian_terms,
+    hermitian_coefficients,
     synthesize_pauli_exponential,
     trotter_error_bound,
     trotter_evolve,
@@ -105,7 +105,8 @@ def test_closed_form_pauli_factor_equals_expm(letters, c, theta, seed):
 ], ids=["spin_boson", "holstein"])
 @pytest.mark.parametrize("order", [1, 2])
 def test_pauli_factors_match_the_dense_matrix_path(model, order):
-    terms = require_hermitian_terms(model.pauli.terms)
+    terms = [PauliTerm(t.letters, c) for t, c in
+             zip(model.pauli.terms, hermitian_coefficients(model.pauli.terms))]
     rng = np.random.default_rng(order)
     psi0 = rng.normal(size=2 ** model.pauli.qubit_count) + 0j
     psi0 /= np.linalg.norm(psi0)
@@ -206,9 +207,9 @@ def test_a_mixed_pauli_and_dense_term_list_is_refused():
 
 def test_hermitian_terms_tolerance_scales_with_the_largest_coefficient():
     terms = [PauliTerm("XY", 1e3), PauliTerm("ZZ", 0.5 + 5e-8j)]
-    assert [t.coefficient for t in require_hermitian_terms(terms)] == [1e3, 0.5]
+    assert hermitian_coefficients(terms) == [1e3, 0.5]
     with pytest.raises(DomainError):
-        require_hermitian_terms(terms[1:])
+        hermitian_coefficients(terms[1:])
 
 
 @pytest.mark.parametrize("terms", [
@@ -220,7 +221,7 @@ def test_hermitian_terms_tolerance_scales_with_the_largest_coefficient():
     [PauliTerm("XX", 0.7 + 1e-11j), PauliTerm("YZ", -0.2)],
 ])
 def test_trotter_and_the_circuit_path_accept_the_same_pauli_lists(terms):
-    # compile --circuits calls require_hermitian_terms on the whole list
+    # compile --circuits calls hermitian_coefficients on the whole list
     def accepts(fn):
         try:
             fn()
@@ -228,7 +229,7 @@ def test_trotter_and_the_circuit_path_accept_the_same_pauli_lists(terms):
             return False
         return True
 
-    circuit = accepts(lambda: require_hermitian_terms(terms))
+    circuit = accepts(lambda: hermitian_coefficients(terms))
     assert accepts(lambda: trotter_evolve(terms, np.eye(4)[0], 1.0, 1)) == circuit
     if circuit:  # both apply the real parts
         real = [PauliTerm(t.letters, complex(t.coefficient).real) for t in terms]
@@ -287,6 +288,41 @@ def test_synthesis_shares_its_fixed_gates():
     again = synthesize_pauli_exponential("XYZ", 0.3)
     assert again == a
     assert all((g is h) == (g.name != "rz") for g, h in zip(again.gates, a.gates))
+
+
+def _per_letter_synthesis(letters, theta):
+    """The gate sequence built letter by letter from fresh gates, in a checked GateList."""
+    involved = [q for q, letter in enumerate(letters) if letter != "I"]
+    if not involved:
+        return GateList(len(letters), (), -theta / 2.0)
+    pre, post = [], []
+    for q in involved:
+        if letters[q] == "X":
+            pre.append(Gate("h", (q,)))
+            post.append(Gate("h", (q,)))
+        elif letters[q] == "Y":
+            pre += [Gate("sdg", (q,)), Gate("h", (q,))]
+            post += [Gate("h", (q,)), Gate("s", (q,))]
+    stair = [Gate("cx", pair) for pair in zip(involved, involved[1:])]
+    rz = Gate("rz", (involved[-1],), theta)
+    return GateList(len(letters), tuple(pre + stair + [rz] + stair[::-1] + post))
+
+
+@given(st.text(alphabet="IXYZ", min_size=1, max_size=10)
+       | st.integers(1, 10).map(lambda n: "I" * n),
+       st.floats(allow_nan=False, allow_infinity=False))
+@settings(max_examples=300, deadline=None)
+def test_synthesis_keeps_the_per_letter_gate_sequence(letters, theta):
+    got, want = synthesize_pauli_exponential(letters, theta), _per_letter_synthesis(letters, theta)
+    assert got == want
+    assert got.to_qasm() == want.to_qasm()  # reprs, so the sign of a zero angle too
+
+
+def test_gate_list_refuses_synthesized_gates_off_its_register():
+    gates = synthesize_pauli_exponential("IXY", 0.3).gates
+    assert GateList(3, gates).gates == gates
+    with pytest.raises(ParameterError, match="outside circuit of width 2"):
+        GateList(2, gates)
 
 
 @pytest.mark.parametrize("name, qubits", [("cx", (0,)), ("h", (0, 1)), ("ccx", (0, 1, 2)),

@@ -17,7 +17,7 @@ from bosonsim.encodings import (
 )
 from bosonsim.errors import DimensionError, ParameterError
 from bosonsim.models import embed_fock, mode_matrices
-from bosonsim.pauli import PauliSum
+from bosonsim.pauli import PauliSum, outer_1q
 
 
 def truncated_creation(d):
@@ -47,6 +47,41 @@ def test_binary_creation_is_exactly_the_fock_ladder():
                            np.diag(np.arange(float(d))), atol=1e-12)
         adj = ops["creation"].adjoint().to_matrix()
         assert np.allclose(adj, ops["annihilation"].to_matrix())
+
+
+def _outer_product(row, col, width):
+    """|row⟩⟨col| on `width` qubits, bits MSB-first, as a tensor chain of 1-qubit outer products."""
+    op = PauliSum.identity(0)
+    for q in range(width):
+        op = op.tensor(outer_1q((row >> (width - 1 - q)) & 1, (col >> (width - 1 - q)) & 1))
+    return op
+
+
+def _tensor_chain_ladders(Nq):
+    """The binary ladders summed from tensor-chain outer products, one PauliSum addition each."""
+    top = 2**Nq - 1
+    creation, number = PauliSum.zero(Nq), PauliSum.zero(Nq)
+    for n in range(top):
+        creation = creation + math.sqrt(n + 1) * _outer_product(n + 1, n, Nq)
+    for n in range(1, top + 1):
+        number = number + float(n) * _outer_product(n, n, Nq)
+    return {"creation": creation.simplify(), "annihilation": creation.adjoint().simplify(),
+            "number": number.simplify()}
+
+
+def _bits(op):
+    """(key, real, imag) per term in insertion order, reprs keeping the sign of a zero."""
+    return [(k, repr(v.real), repr(v.imag)) for k, v in op._terms.items()]
+
+
+@pytest.mark.parametrize("Nq", range(1, 9))
+def test_closed_form_binary_ladders_equal_the_tensor_chain_bit_for_bit(Nq):
+    # insertion order fixes the summation order of every later product and to_matrix
+    want, got = _tensor_chain_ladders(Nq), boson_ops_binary(Nq)
+    assert got.keys() == want.keys()
+    for name in want:
+        assert _bits(got[name]) == _bits(want[name]), name
+        assert got[name].qubit_count == Nq
 
 
 def test_truncated_commutator_defect():

@@ -83,3 +83,44 @@ def test_lindblad_propagates_once_where_the_bench_tracer_counts_it(t, dt, rows, 
     assert spans["_arg"](args, kwargs, 3, "dt", 1e-3) == float(dt)
     steps = spans["_count_rk4"](args, kwargs, None)["open_systems.rk4_steps"]
     assert steps == rows == len(out.read_text().splitlines()) - 1
+
+
+@pytest.mark.parametrize("kind, spec", [
+    ("spin_boson", {"delta": 0.8, "epsilon": 0.3, "omegas": [1.1, 0.7], "couplings": [0.2, 0.4],
+                    "cutoffs": [3, 7]}),
+    ("bose_hubbard", {"n_sites": 3, "Nb": 3, "t": 0.6, "U": 1.2, "V": 0.2, "mu": 0.1}),
+    ("holstein", {"n_sites": 3, "v": 0.9, "omega": 1.3, "g": 0.7}),
+])
+def test_compile_calls_what_the_bench_tracer_counts_once_each(kind, spec, tmp_path, monkeypatch):
+    # the tracer's models.build.*, dynamics.synthesize.calls and dynamics.qasm_gates
+    # read these calls, so each must stay one call per model, term and circuit
+    import json
+
+    from bosonsim import dynamics, models
+    from bosonsim.cli import run
+    calls = {"build": [], "synthesize": [], "to_qasm": []}
+
+    def spy(name, right):
+        def wrapper(*args, **kwargs):
+            calls[name].append((args, kwargs, right(*args, **kwargs)))
+            return calls[name][-1][2]
+        return wrapper
+
+    builder = f"build_{kind}"
+    monkeypatch.setattr(models, builder, spy("build", getattr(models, builder)))
+    monkeypatch.setattr(dynamics, "synthesize_pauli_exponential",
+                        spy("synthesize", dynamics.synthesize_pauli_exponential))
+    monkeypatch.setattr(dynamics.GateList, "to_qasm", spy("to_qasm", dynamics.GateList.to_qasm))
+    path, qasm = tmp_path / "m.json", tmp_path / "c.qasm"
+    path.write_text(json.dumps(dict(spec, model=kind)))
+    assert run(["compile", "--model", str(path), "--out", str(tmp_path / "h.txt"),
+                "--circuits", str(qasm)]) == 0
+    assert len(calls["build"]) == 1
+    terms = calls["build"][0][2].pauli.terms
+    moving = [t for t in terms if set(t.letters) != {"I"}]
+    assert len(moving) < len(terms)  # an identity term is a phase, never synthesized
+    assert [args[0] for args, _, _ in calls["synthesize"]] == [t.letters for t in moving]
+    [(args, kwargs, _)] = calls["to_qasm"]
+    gates = _bench_spans()["_count_qasm"](args, kwargs, None)["dynamics.qasm_gates"]
+    assert gates == sum(len(gl.gates) for _, _, gl in calls["synthesize"])
+    assert gates == len(qasm.read_text().splitlines()) - 3  # after the header and qreg lines
